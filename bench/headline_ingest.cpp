@@ -12,14 +12,16 @@
 // scale 0.25 — the server-side coalescing + group-commit pipeline should
 // clear that with a wide margin. VOLAP_INGEST_FLOOR overrides the floor.
 //
-// Diagnostics: VOLAP_COALESCE=0 A/Bs the coalescing pipeline against the
-// per-item path, VOLAP_MIX overrides the insert percentage of the mixed
+// Diagnostics: VOLAP_MIX overrides the insert percentage of the mixed
 // stream (100 = inserts only, 0 = queries only — isolates which side of
-// the 70/30 coupling gates throughput), and VOLAP_BENCH_DEBUG=1 prints
-// client-observed latencies plus per-server routing/coalescing counters.
+// the 70/30 coupling gates throughput); a run with any mix other than 70
+// writes BENCH_ingest_mix<N>.json, so it never overwrites the trajectory
+// point in BENCH_ingest.json. VOLAP_BENCH_DEBUG=1 prints client-observed
+// latencies plus per-server routing/coalescing counters.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "bench/bench_util.hpp"
 #include "olap/data_gen.hpp"
@@ -39,7 +41,9 @@ int main() {
   DataGenerator gen(schema, 3);
   const PointSet items = gen.generate(n);
 
-  BenchJson json("ingest");
+  unsigned mix = 70;
+  if (const char* env = std::getenv("VOLAP_MIX")) mix = std::atoi(env);
+  BenchJson json(mix == 70 ? "ingest" : "ingest_mix" + std::to_string(mix));
 
   // 1. Raw shard: bulk load vs point insert.
   {
@@ -67,8 +71,6 @@ int main() {
   opts.workers = 4;
   opts.manager.maxShardItems = n;  // keep the run split-free
   opts.manager.replicationFactor = 1;  // floor measures the unchained path
-  if (const char* env = std::getenv("VOLAP_COALESCE"))
-    opts.server.coalesce = std::strcmp(env, "0") != 0;
   VolapCluster cluster(schema, opts);
   auto client = cluster.makeClient("ingest", 0, 256);
   {
@@ -102,8 +104,6 @@ int main() {
     // One process serves both roles here; size the stream so the run stays
     // in seconds while the rates remain stable.
     const std::size_t ops = scaled(2'500);
-    unsigned mix = 70;
-    if (const char* env = std::getenv("VOLAP_MIX")) mix = std::atoi(env);
     std::size_t ins = 0, qry = 0;
     const double sec = timeIt([&] {
       for (std::size_t i = 0; i < ops; ++i) {

@@ -26,11 +26,9 @@ enum class Op : std::uint16_t {
   kQueryReply = 0x211,  // Aggregate + routing stats
   kBulkAck = 0x212,
   // Server -> Worker.
-  kWInsert = 0x220,     // shard id + point
   kWQuery = 0x221,      // shard id list + QueryBox
   kWBulk = 0x222,       // shard id + PointSet
   // Worker -> Server.
-  kWInsertAck = 0x230,  // echoes corr; u8 expandedBox
   kWQueryReply = 0x231, // Aggregate + searched count + moved list
   kWBulkAck = 0x232,
   // Manager/bootstrap -> Worker.
@@ -78,26 +76,6 @@ inline Point readPoint(ByteReader& r) {
   p.measure = r.f64();
   return p;
 }
-
-/// kWInsert payload.
-struct WInsert {
-  ShardId shard = 0;
-  Point point;
-
-  Blob encode() const {
-    ByteWriter w;
-    w.varint(shard);
-    writePoint(w, point.ref());
-    return w.take();
-  }
-  static WInsert decode(const Blob& b) {
-    ByteReader r(b);
-    WInsert m;
-    m.shard = r.varint();
-    m.point = readPoint(r);
-    return m;
-  }
-};
 
 /// kWQuery payload.
 struct WQuery {
@@ -183,29 +161,6 @@ struct WQueryReply {
         m.redirect.emplace_back(id, dst);
       }
     }
-    return m;
-  }
-};
-
-/// kWInsertAck payload: which shard absorbed the item and under which
-/// fencing epoch, so a server whose image already carries a newer epoch can
-/// reject a zombie owner's ack and keep retrying toward the new owner. An
-/// EMPTY ack payload (dropped / out-of-domain items) is accepted as-is.
-struct WInsertAckInfo {
-  ShardId shard = 0;
-  std::uint64_t epoch = 0;
-
-  Blob encode() const {
-    ByteWriter w;
-    w.varint(shard);
-    w.varint(epoch);
-    return w.take();
-  }
-  static WInsertAckInfo decode(const Blob& b) {
-    ByteReader r(b);
-    WInsertAckInfo m;
-    m.shard = r.varint();
-    m.epoch = r.varint();
     return m;
   }
 };
@@ -471,20 +426,30 @@ struct ShardBatch {
   }
 };
 
-/// kWBulkAck payload: items applied plus a backpressure hint — the depth of
-/// the worker's inbox when the ack was built. Servers use the hint to
-/// throttle coalesced-batch flushes toward an overloaded worker. The hint
-/// is appended after the original `varint(applied)` field, so decode()
-/// accepts old one-field payloads (hint 0) and old readers that stop after
-/// the first varint keep working.
+/// kWBulkAck payload: items applied, a backpressure hint — the depth of the
+/// worker's inbox when the ack was built — and the fencing stamps of the
+/// batch. Servers use the hint to throttle coalesced-batch flushes toward
+/// an overloaded worker. `stamps` names every slot the batch was applied to
+/// and that slot's fencing epoch, so a server whose image already carries a
+/// newer epoch for one of them rejects a zombie owner's ack and keeps
+/// retrying toward the new owner. An ack with no stamps (unknown shard,
+/// nothing applied) is accepted as-is. Fields after `applied` are appended
+/// in order, so decode() accepts shorter payloads and readers that stop
+/// after the first varint keep working.
 struct WBulkAck {
   std::uint64_t applied = 0;
   std::uint64_t backlog = 0;
+  std::vector<std::pair<ShardId, std::uint64_t>> stamps;  // (shard, epoch)
 
   Blob encode() const {
     ByteWriter w;
     w.varint(applied);
     w.varint(backlog);
+    w.varint(stamps.size());
+    for (const auto& [shard, epoch] : stamps) {
+      w.varint(shard);
+      w.varint(epoch);
+    }
     return w.take();
   }
   static WBulkAck decode(const Blob& b) {
@@ -492,6 +457,14 @@ struct WBulkAck {
     WBulkAck m;
     m.applied = r.varint();
     if (r.remaining() > 0) m.backlog = r.varint();
+    if (r.remaining() > 0) {
+      const auto n = r.varint();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const ShardId shard = r.varint();
+        const std::uint64_t epoch = r.varint();
+        m.stamps.emplace_back(shard, epoch);
+      }
+    }
     return m;
   }
 };

@@ -53,10 +53,6 @@ Server::Server(Fabric& fabric, const Schema& schema, ServerId id,
   // Pull gauges: evaluated only at snapshot/scrape time, under the same
   // locks stats() takes. Registered before the serve thread starts, so no
   // registration ever races the data path.
-  metrics_.gaugeFn("server.pending_inserts", [this] {
-    std::lock_guard lock(pendingMu_);
-    return static_cast<std::int64_t>(pendingInserts_.size());
-  });
   metrics_.gaugeFn("server.pending_queries", [this] {
     std::lock_guard lock(pendingMu_);
     return static_cast<std::int64_t>(pendingQueries_.size());
@@ -120,7 +116,6 @@ Server::Stats Server::stats() const {
   s.lanesThrottled = lanesThrottled_.value();
   {
     std::lock_guard lock(pendingMu_);
-    s.pendingInserts = pendingInserts_.size();
     s.pendingQueries = pendingQueries_.size();
     s.pendingBulks = pendingBulks_.size();
     s.retryEntries = retries_.size();
@@ -152,7 +147,7 @@ void Server::serve() {
       sweepRetries();
     std::uint64_t wake =
         std::min(nextSync, nextRetryDueNanos_.load(std::memory_order_relaxed));
-    if (cfg_.coalesce) wake = flushExpired(nowNanos(), wake);
+    wake = flushExpired(nowNanos(), wake);
     now = nowNanos();
     auto m = inbox_->recvFor(
         std::chrono::nanoseconds(wake > now ? wake - now : 1));
@@ -184,7 +179,6 @@ void Server::dispatch(const Message& m) {
     case Op::kInsert: handleInsert(m); break;
     case Op::kQuery: handleQuery(m); break;
     case Op::kBulk: handleBulk(m); break;
-    case Op::kWInsertAck: handleWorkerInsertAck(m); break;
     case Op::kWQueryReply: handleWorkerQueryReply(m); break;
     case Op::kWBulkAck: handleWorkerBulkAck(m); break;
     case Op::kStats: handleStats(m); break;
@@ -276,6 +270,7 @@ void Server::rebuildSnapshotLocked() {
     leaf.volume = leaf.box.volume(schema_);
     leaf.shard = id;
     leaf.worker = image_.workerOf(id);
+    leaf.epoch = image_.epochOf(id);
     snap->leaves.push_back(std::move(leaf));
   }
   std::lock_guard lock(snapMu_);
@@ -382,8 +377,7 @@ void Server::sweepRetries() {
         ++rt.attempts;
         rt.dueNanos =
             now + retryDelayNanos(cfg_.workerRetry, rt.attempts, rng_);
-        if ((rt.op == Op::kWInsert || rt.op == Op::kWBulk) &&
-            rt.shard != 0) {
+        if (rt.op == Op::kWBulk && rt.shard != 0) {
           // Follow the shard, not the worker: if the image re-homed the
           // shard since the first send (migration or crash recovery), the
           // retransmission — same corr, same payload — goes to the new
@@ -404,30 +398,6 @@ void Server::sweepRetries() {
       // down for this request. Degrade per operation.
       const std::uint64_t corr = it->first;
       switch (rt.op) {
-        case Op::kWInsert: {
-          // Drop the insert WITHOUT acking: the client's own retry budget
-          // re-submits it, preserving "acked implies queryable". Remember
-          // the wire identity so the retransmission resumes THIS request
-          // (resumeDroppedInsert) instead of re-applying under a new corr.
-          auto pit = pendingInserts_.find(corr);
-          if (pit != pendingInserts_.end()) {
-            const std::string key =
-                clientKey(pit->second.clientEp, pit->second.clientCorr);
-            inFlightClient_.erase(key);
-            auto [dit, fresh] = droppedInserts_.try_emplace(key);
-            dit->second = {corr, rt.dest, std::move(rt.payload), rt.shard};
-            if (fresh) {
-              droppedOrder_.push_back(dit->first);
-              while (droppedOrder_.size() > 8192) {
-                droppedInserts_.erase(droppedOrder_.front());
-                droppedOrder_.pop_front();
-              }
-            }
-            pendingInserts_.erase(pit);
-          }
-          insertsDropped_.inc();
-          break;
-        }
         case Op::kWQuery: {
           auto qit = pendingQueries_.find(corr);
           if (qit != pendingQueries_.end()) {
@@ -445,7 +415,7 @@ void Server::sweepRetries() {
             // payload) keyed by every member's client identity, so any
             // member's retransmission resumes this exact wire request —
             // the worker's dedup must recognize an attempt that landed
-            // with only its ack lost. Bounded FIFO, like droppedInserts_.
+            // with only its ack lost. Bounded FIFO.
             PendingCoalesced pc = std::move(cit->second);
             pendingCoalesced_.erase(cit);
             auto [dit, fresh] = droppedBatches_.try_emplace(corr);
@@ -507,39 +477,6 @@ void Server::sweepRetries() {
 
 // ---- inserts ----------------------------------------------------------------
 
-bool Server::resumeDroppedInsert(const Message& m) {
-  std::string dest;
-  std::uint64_t corr = 0;
-  SharedBlob payload;
-  {
-    std::lock_guard lock(pendingMu_);
-    auto it = droppedInserts_.find(clientKey(m.from, m.corr));
-    if (it == droppedInserts_.end()) return false;
-    corr = it->second.corr;
-    dest = it->second.dest;
-    const ShardId shard = it->second.shard;
-    payload = std::move(it->second.payload);
-    droppedInserts_.erase(it);  // its FIFO slot expires lazily
-    if (shard != 0) {
-      // The original owner may be dead by now; re-resolve. Same corr and
-      // payload, so the (possibly new) owner's dedup still applies.
-      imageLock_.lock_shared();
-      const WorkerId w = image_.workerOf(shard);
-      imageLock_.unlock_shared();
-      if (w != kNoWorker) dest = workerEndpoint(w);
-    }
-    pendingInserts_[corr] = {m.from, m.corr};
-    const std::uint64_t due =
-        nowNanos() + retryDelayNanos(cfg_.workerRetry, 1, rng_);
-    retries_.emplace(corr,
-                     WireRetry{dest, Op::kWInsert, payload, 1, due, 0, shard});
-    noteRetryDue(due);
-  }
-  fabric_.send(dest, makeMessage(Op::kWInsert, corr, serverEndpoint(id_),
-                                 std::move(payload)));
-  return true;
-}
-
 bool Server::resumeDroppedBatch(const Message& m) {
   std::string dest;
   std::uint64_t corr = 0;
@@ -595,7 +532,6 @@ bool Server::resumeDroppedBatch(const Message& m) {
 void Server::handleInsert(const Message& m) {
   if (dedupClientRequest(m)) return;
   if (resumeDroppedBatch(m)) return;
-  if (resumeDroppedInsert(m)) return;
   ByteReader r(m.payload);
   const Point p = readPoint(r);
   insertsRouted_.inc();
@@ -614,11 +550,9 @@ void Server::handleInsert(const Message& m) {
   // whose box contains the point is a valid insert target; only a point no
   // leaf contains (it must grow some box) needs the exclusive image lock.
   ShardId shard = 0;
-  WorkerId w = kNoWorker;
   if (const auto snap = currentSnapshot()) {
     if (const RouteSnapshot::Leaf* leaf = snapshotRoute(*snap, p.ref())) {
       shard = leaf->shard;
-      w = leaf->worker;
       snapshotHits_.inc();
     }
   }
@@ -627,7 +561,6 @@ void Server::handleInsert(const Message& m) {
     imageLock_.lock();  // routeInsert expands boxes: exclusive
     const LocalImage::Route route = image_.routeInsert(p.ref());
     shard = route.shard;
-    w = image_.workerOf(shard);
     rebuildSnapshotLocked();
     imageLock_.unlock();
     if (route.expanded)
@@ -641,36 +574,7 @@ void Server::handleInsert(const Message& m) {
     if (routed >= recv) ingestRouteNs_.record(routed - recv);
   }
 
-  if (cfg_.coalesce) {
-    coalesceInsert(m, p, shard, std::move(trace));
-    return;
-  }
-
-  WInsert req;
-  req.shard = shard;
-  req.point = p;
-  const SharedBlob payload(req.encode());
-  const std::uint64_t corr = nextCorr_.fetch_add(1);
-  {
-    std::lock_guard lock(pendingMu_);
-    pendingInserts_[corr] = {m.from, m.corr};
-    const std::uint64_t due =
-        nowNanos() + retryDelayNanos(cfg_.workerRetry, 1, rng_);
-    retries_.emplace(corr, WireRetry{workerEndpoint(w), Op::kWInsert, payload,
-                                     1, due, 0, shard});
-    noteRetryDue(due);
-  }
-  // A failed send (worker not bound yet) is fine: the sweep retransmits,
-  // and on a exhausted budget the unacked insert falls to the client retry.
-  // Retransmissions deliberately do not carry the trace — a trace follows
-  // the first attempt only.
-  Message out =
-      makeMessage(Op::kWInsert, corr, serverEndpoint(id_), payload);
-  if (trace.id != 0) {
-    out.traceId = trace.id;
-    out.hops = std::move(trace.hops);
-  }
-  fabric_.send(workerEndpoint(w), std::move(out));
+  coalesceInsert(m, p, shard, std::move(trace));
 }
 
 // ---- ingest coalescing ------------------------------------------------------
@@ -798,43 +702,6 @@ std::uint64_t Server::flushExpired(std::uint64_t now, std::uint64_t horizon) {
     flushLane(shard);
   }
   return wake;
-}
-
-void Server::handleWorkerInsertAck(const Message& m) {
-  // Fencing check first — even for acks with no pending entry — so a
-  // zombie's late (or forged) ack is visibly rejected, not silently
-  // ignored as a duplicate. A stamped ack whose epoch is below the
-  // image's epoch for that shard comes from an owner the recovery
-  // supervisor has already fenced out; the pending entry stays and the
-  // retry path drives the insert to the current owner.
-  if (!m.payload.empty()) {
-    try {
-      const WInsertAckInfo info = WInsertAckInfo::decode(m.payload);
-      std::uint64_t imageEpoch = 0;
-      {
-        imageLock_.lock_shared();
-        imageEpoch = image_.epochOf(info.shard);
-        imageLock_.unlock_shared();
-      }
-      if (info.epoch < imageEpoch) {
-        staleEpochAcks_.inc();
-        return;
-      }
-    } catch (const DeserializeError&) {
-      return;  // garbled ack: keep retrying
-    }
-  }
-  PendingInsert pi;
-  {
-    std::lock_guard lock(pendingMu_);
-    auto it = pendingInserts_.find(m.corr);
-    if (it == pendingInserts_.end()) return;  // duplicate ack
-    pi = it->second;
-    pendingInserts_.erase(it);
-    retries_.erase(m.corr);
-  }
-  if (m.traced()) recordIngestTrace(Trace{m.traceId, m.hops});
-  replyToClient(pi.clientEp, pi.clientCorr, Op::kInsertAck, {});
 }
 
 // ---- queries ----------------------------------------------------------------
@@ -1125,11 +992,25 @@ void Server::handleBulk(const Message& m) {
 
 void Server::handleWorkerBulkAck(const Message& m) {
   WBulkAck ack;
-  bool decoded = true;
   try {
     ack = WBulkAck::decode(m.payload);
   } catch (const DeserializeError&) {
-    decoded = false;  // garbled count; the ack itself still completes
+    return;  // garbled ack: its stamps are unreadable, keep retrying
+  }
+  // Fencing check first — even for acks with no pending entry — so a
+  // zombie's late (or forged) ack is visibly rejected, not silently
+  // ignored as a duplicate. A stamp whose epoch is below the image's epoch
+  // for that shard comes from an owner the recovery supervisor has already
+  // fenced out; the pending entry stays and the retry path drives the
+  // batch to the current owner.
+  bool stale = false;
+  if (const auto snap = currentSnapshot()) {
+    for (const auto& [shard, epoch] : ack.stamps)
+      stale = stale || epoch < snap->epochOf(shard);
+  }
+  if (stale) {
+    staleEpochAcks_.inc();
+    return;
   }
   // Coalesced batch: one wire ack fans out to every member's client.
   std::vector<PendingInsert> members;
@@ -1156,8 +1037,7 @@ void Server::handleWorkerBulkAck(const Message& m) {
         Lane& lane = it->second;
         if (lane.inFlight > 0) --lane.inFlight;
         const bool wasSlow = lane.slow;
-        lane.slow =
-            decoded && ack.backlog >= cfg_.coalesceBacklogWatermark;
+        lane.slow = ack.backlog >= cfg_.coalesceBacklogWatermark;
         if (lane.slow && !wasSlow)
           lanesThrottled_.inc();
         // Ack-clocked release: the freed window slot immediately carries
@@ -1184,7 +1064,7 @@ void Server::handleWorkerBulkAck(const Message& m) {
     bulk = it->second;
     pendingBulks_.erase(it);
     retries_.erase(m.corr);
-    if (decoded) bulk->applied += ack.applied;
+    bulk->applied += ack.applied;
     finished = --bulk->remaining == 0;
   }
   if (finished) finishBulk(*bulk);

@@ -57,10 +57,9 @@ struct ServerConfig {
   bool replicaReads = true;
 
   // --- Ingest coalescing (the high-velocity hot path) -----------------------
-  /// Fold many small client inserts into per-(worker, shard) kWBulk batches:
-  /// one wire message, one correlation id, one retry entry, one WAL commit
-  /// per batch instead of per item.
-  bool coalesce = true;
+  // Every client insert is folded into a per-(worker, shard) kWBulk batch:
+  // one wire message, one correlation id, one retry entry, one WAL commit
+  // per batch instead of per item.
   /// Flush a lane's buffer once it holds this many items...
   std::size_t coalesceMaxItems = 4096;
   /// ...or once its oldest item has waited this long.
@@ -116,7 +115,6 @@ class Server {
     std::uint64_t coalesceEagerFlushes = 0;
     std::uint64_t lanesThrottled = 0;   // backpressure engagements
     // Gauges: all must return to 0 once traffic drains (leak detector).
-    std::size_t pendingInserts = 0;
     std::size_t pendingQueries = 0;
     std::size_t pendingBulks = 0;
     std::size_t retryEntries = 0;
@@ -136,6 +134,7 @@ class Server {
   const TraceRing& traceRing() const { return traceRing_; }
 
  private:
+  /// The client request behind one coalesced insert: who to ack.
   struct PendingInsert {
     std::string clientEp;
     std::uint64_t clientCorr = 0;
@@ -171,26 +170,15 @@ class Server {
   /// retransmission read the same allocation instead of copying it.
   struct WireRetry {
     std::string dest;
-    Op op = Op::kWInsert;
+    Op op = Op::kWBulk;
     SharedBlob payload;
     unsigned attempts = 1;
     std::uint64_t dueNanos = 0;
     std::uint32_t shards = 0;  // query chunks: for unreachable accounting
-    /// For kWInsert / kWBulk: the routed shard. Retransmissions re-resolve
+    /// For kWBulk: the routed shard. Retransmissions re-resolve
     /// the destination through the image, so a request outlives its
     /// original worker — after a crash recovery the SAME request (same
     /// corr) lands on the new owner, whose WAL-seeded dedup recognizes it.
-    ShardId shard = 0;
-  };
-  /// Wire identity of an insert whose worker budget was exhausted, keyed by
-  /// its client key. A client retransmission must resume this EXACT request
-  /// (same corr, payload) so the worker's dedup still recognizes it:
-  /// re-routing under a fresh corr would double-apply an insert that landed
-  /// with only its ack lost. Bounded FIFO, like the replay cache.
-  struct DroppedInsert {
-    std::uint64_t corr = 0;
-    std::string dest;
-    SharedBlob payload;
     ShardId shard = 0;
   };
 
@@ -202,14 +190,23 @@ class Server {
   /// Correctness: any leaf whose box contains the point is a valid insert
   /// target (queries route by intersection), and boxes only grow — a stale
   /// snapshot can only under-match, falling back to the exclusive path.
+  /// Bulk acks check their fencing stamps against it too, so the ack path
+  /// never takes imageLock_ either.
   struct RouteSnapshot {
     struct Leaf {
       MdsKey box;
       double volume = 0;
       ShardId shard = 0;
       WorkerId worker = kNoWorker;
+      std::uint64_t epoch = 0;  // the image's fencing epoch for the shard
     };
     std::vector<Leaf> leaves;
+
+    std::uint64_t epochOf(ShardId id) const {
+      for (const auto& leaf : leaves)
+        if (leaf.shard == id) return leaf.epoch;
+      return 0;
+    }
   };
 
   // --- ingest coalescing ------------------------------------------------------
@@ -226,8 +223,8 @@ class Server {
     /// so its remaining hops are stamped worker-side.
     std::vector<Trace> traces;
   };
-  /// Pending state for one coalesced batch (the analogue of PendingInsert,
-  /// fanned out): every member is acked when the single kWBulkAck lands.
+  /// Pending state for one coalesced batch: every member is acked when the
+  /// single kWBulkAck lands.
   struct PendingCoalesced {
     std::vector<PendingInsert> members;
     ShardId shard = 0;
@@ -236,7 +233,8 @@ class Server {
   /// A coalesced batch whose worker retry budget was exhausted, parked for
   /// resume-by-retransmission: when ANY member's client retransmits, the
   /// whole batch is re-issued with the SAME corr and payload (the worker's
-  /// dedup must recognize an attempt that landed with only its ack lost).
+  /// dedup must recognize an attempt that landed with only its ack lost;
+  /// re-routing under a fresh corr would apply it twice).
   struct DroppedBatch {
     std::string dest;
     SharedBlob payload;
@@ -256,7 +254,6 @@ class Server {
   void handleInsert(const Message& m);
   void handleQuery(const Message& m);
   void handleBulk(const Message& m);
-  void handleWorkerInsertAck(const Message& m);
   void handleWorkerQueryReply(const Message& m);
   void handleWorkerBulkAck(const Message& m);
   void handleWatchEvent(const Message& m);
@@ -270,9 +267,6 @@ class Server {
   /// True if the request is a duplicate (replayed or dropped) and the
   /// caller must not process it.
   bool dedupClientRequest(const Message& m);
-  /// True if `m` retransmits an insert whose worker budget was exhausted;
-  /// the original wire request was re-issued with a fresh budget.
-  bool resumeDroppedInsert(const Message& m);
   /// True if `m` retransmits a member of a dropped coalesced batch; the
   /// whole batch was re-issued (same corr/payload) with a fresh budget.
   bool resumeDroppedBatch(const Message& m);
@@ -348,7 +342,6 @@ class Server {
   /// has actually arrived.
   std::atomic<std::uint64_t> nextRetryDueNanos_{~std::uint64_t{0}};
   std::atomic<std::uint64_t> nextCorr_{1};
-  std::unordered_map<std::uint64_t, PendingInsert> pendingInserts_;
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingQuery>>
       pendingQueries_;
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingBulk>>
@@ -357,8 +350,6 @@ class Server {
   std::unordered_map<std::uint64_t, PendingCoalesced> pendingCoalesced_;
   std::unordered_set<std::string> inFlightClient_;  // (client,corr) pending
   DedupCache replay_;  // completed replies for client retransmissions
-  std::unordered_map<std::string, DroppedInsert> droppedInserts_;
-  std::deque<std::string> droppedOrder_;  // FIFO eviction for the above
   std::unordered_map<std::uint64_t, DroppedBatch> droppedBatches_;  // by corr
   std::unordered_map<std::string, std::uint64_t> droppedBatchIndex_;
   std::deque<std::uint64_t> droppedBatchOrder_;  // FIFO eviction

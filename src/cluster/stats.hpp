@@ -65,7 +65,7 @@ inline const std::vector<std::string>& requiredServerMetrics() {
       "server.worker_retries",
       "server.partial_queries",
       "server.stale_epoch_acks",
-      "server.pending_inserts",
+      "server.pending_coalesced",
       "server.pending_queries",
       "server.retry_entries",
       "server.coalesce.buffered",

@@ -229,11 +229,6 @@ void Worker::serve() {
       continue;
     }
     switch (static_cast<Op>(m->type)) {
-      case Op::kWInsert: {
-        auto msg = std::make_shared<Message>(std::move(*m));
-        pool_.submit([this, msg] { handleInsert(*msg); });
-        break;
-      }
       case Op::kWQuery: {
         auto msg = std::make_shared<Message>(std::move(*m));
         pool_.submit([this, msg] { handleQuery(*msg); });
@@ -322,7 +317,7 @@ void Worker::handleStats(const Message& m) {
 // ---- redelivery dedup -------------------------------------------------------
 
 bool Worker::beginRequest(const Message& m) {
-  Op replayOp = Op::kWInsertAck;
+  Op replayOp = Op::kWBulkAck;
   Blob replayPayload;
   {
     std::lock_guard lock(dedupMu_);
@@ -367,6 +362,30 @@ void Worker::completeRequest(const Message& m, Op ackOp, Blob ackPayload,
 void Worker::abandonRequest(const Message& m) {
   std::lock_guard lock(dedupMu_);
   inFlightMsgs_.erase(msgKey(m));
+}
+
+template <typename Records>
+void Worker::seedReplayCache(ShardId shard, std::uint64_t epoch,
+                             const Records& recs) {
+  std::lock_guard lock(dedupMu_);
+  for (const auto& rec : recs) {
+    if (rec.corr == 0) continue;
+    Blob payload = rec.ackPayload;
+    if (rec.ackOp == static_cast<std::uint16_t>(Op::kWBulkAck)) {
+      // Re-stamp with the epoch this worker now holds the shard under. The
+      // logged stamps name the previous owner's epoch, which a server that
+      // already sees the new one rejects as a zombie ack — on every
+      // retransmission, since each is answered from this cache.
+      try {
+        WBulkAck ack = WBulkAck::decode(payload);
+        ack.stamps = {{shard, epoch}};
+        payload = ack.encode();
+      } catch (const DeserializeError&) {
+        // Unreadable payload: replay it unchanged.
+      }
+    }
+    replay_.remember(rec.from, rec.corr, rec.ackOp, std::move(payload));
+  }
 }
 
 // ---- worker-to-worker retries -----------------------------------------------
@@ -485,161 +504,6 @@ bool pointInDomain(const Schema& schema, PointRef p) {
 }
 
 }  // namespace
-
-void Worker::handleInsert(const Message& m) {
-  if (!beginRequest(m)) return;
-  std::vector<TraceHop> hops;
-  if (m.traced()) stamp(hops, TraceStage::kWorkerRecv, nowNanos());
-  const WInsert req = WInsert::decode(m.payload);
-  if (!pointInDomain(schema_, req.point.ref())) {
-    dropped_.inc();
-    completeRequest(m, Op::kWInsertAck, {});
-    return;
-  }
-  std::shared_ptr<Shard> target;
-  std::shared_ptr<std::atomic<std::uint32_t>> active;
-  ShardId targetId = 0;       // id of the slot the item lands in
-  std::uint64_t epoch = 0;    // that slot's fencing epoch
-  bool forwarded = false;
-  bool unknown = false;       // no local slot anywhere along the chain
-  {
-    std::lock_guard lock(slotsMu_);
-    ShardId cur = req.shard;
-    Slot* fallback = nullptr;  // last local slot seen along the chain
-    ShardId fallbackId = 0;
-    for (int hops = 0; hops < 64; ++hops) {
-      Slot* slot = findSlot(cur);
-      if (slot == nullptr) {
-        // The mapping chain points at a child that lives elsewhere (e.g.
-        // the parent migrated but its split child stayed behind). The
-        // redirect is only a placement optimization: the parent's image
-        // box still covers this region, so the item is correct — and
-        // queryable — in the last local slot of the chain.
-        if (fallback != nullptr) {
-          target = fallback->busy ? fallback->queue : fallback->shard;
-          active = fallback->activeInserts;
-          targetId = fallbackId;
-          epoch = fallback->epoch;
-          active->fetch_add(1, std::memory_order_acq_rel);
-        } else {
-          unknown = true;
-        }
-        break;
-      }
-      if (slot->movedTo != kNoWorker) {
-        // Forwarding stub: pass the insert through to the new owner with
-        // the RESOLVED shard id (the chain may have redirected a stale id
-        // to a split child the destination knows under its own id) and the
-        // ORIGINAL (from, corr), so the destination acks the originating
-        // server directly and deduplicates its retransmissions itself. A
-        // dropped forward heals end to end: the server retries, this stub
-        // forwards again, the destination dedups.
-        WInsert fwdReq;
-        fwdReq.shard = cur;
-        fwdReq.point = req.point;
-        fabric_.send(workerEndpoint(slot->movedTo),
-                     makeMessage(Op::kWInsert, m.corr, m.from,
-                                 fwdReq.encode()));
-        forwarded = true;
-        break;
-      }
-      bool redirected = false;
-      const ShardId hereId = cur;
-      for (const auto& [plane, rightId] : slot->splits) {
-        if (req.point.coords[plane.dim] >= plane.cut) {
-          cur = rightId;  // mapping table M_j (SIII-E), in split order
-          redirected = true;
-          break;
-        }
-      }
-      if (redirected) {
-        fallback = slot;
-        fallbackId = hereId;
-        continue;
-      }
-      target = slot->busy ? slot->queue : slot->shard;
-      active = slot->activeInserts;
-      targetId = cur;
-      epoch = slot->epoch;
-      active->fetch_add(1, std::memory_order_acq_rel);
-      break;
-    }
-  }
-  if (forwarded) {
-    abandonRequest(m);  // the new owner acks; retransmissions re-forward
-    return;
-  }
-  if (unknown && durable_ != nullptr && durable_->knows(req.shard)) {
-    // A shard this worker does not host but the durable store knows: we
-    // were fenced out of it (or never owned it while someone else does).
-    // Acking would claim an item that was never applied here, so stay
-    // silent — the sender's retry re-resolves toward the live owner.
-    fencedOps_.inc();
-    abandonRequest(m);
-    return;
-  }
-  if (target) {
-    // The ack names the slot that actually absorbed the item and its
-    // fencing epoch, so servers can reject a fenced zombie's late acks.
-    const Blob ackPayload = WInsertAckInfo{targetId, epoch}.encode();
-    const bool chained =
-        durable_ != nullptr &&
-        chainsActive_.load(std::memory_order_acquire) != 0;
-    WalRecord replRec;  // copy kept for the chain when `chained`
-    if (durable_ != nullptr) {
-      // Write-ahead of the ack: log while the insert is counted in-flight
-      // (checkpointing drains that count, so WAL and checkpoint agree). A
-      // failed append means this worker is fenced: drop unacked — the
-      // sender's retry reaches the recovered owner, which already has (or
-      // will dedup) this (from, corr) from the restored WAL.
-      PointSet one(schema_.dims());
-      one.push(req.point.ref());
-      WalRecord rec = makeWalRecord(m, Op::kWInsertAck, ackPayload, one);
-      if (chained) replRec = rec;
-      const std::uint64_t walStart = nowNanos();
-      if (!groupCommit_->commit(targetId, epoch, std::move(rec))) {
-        active->fetch_sub(1, std::memory_order_acq_rel);
-        fencedOps_.inc();
-        abandonRequest(m);
-        fenceSlot(targetId);
-        return;
-      }
-      const std::uint64_t walDone = nowNanos();
-      walAppendNs_.record(walDone - walStart);
-      if (m.traced()) stamp(hops, TraceStage::kWorkerWal, walDone);
-    }
-    target->insert(req.point.ref());
-    inserts_.inc();
-    if (m.traced()) stamp(hops, TraceStage::kWorkerApplied, nowNanos());
-    if (chained) {
-      auto d = std::make_shared<DeferredAck>();
-      d->from = m.from;
-      d->corr = m.corr;
-      d->ackOp = static_cast<std::uint16_t>(Op::kWInsertAck);
-      d->payload = ackPayload;
-      if (m.traced()) {
-        d->traceId = m.traceId;
-        d->hops = m.hops;
-        d->hops.insert(d->hops.end(), hops.begin(), hops.end());
-      }
-      // The in-flight ticket is still held across the chain handoff: a
-      // reconfig snapshot drains tickets under slotsMu_, so every record
-      // is either inside its snapshot or forwarded as an append — never
-      // both, never neither.
-      const bool deferred =
-          replicateRecord(targetId, epoch, std::move(replRec), d,
-                          m.traced() ? &d->hops : nullptr);
-      active->fetch_sub(1, std::memory_order_acq_rel);
-      if (deferred) return;  // the tail's ack releases the client ack
-    } else {
-      active->fetch_sub(1, std::memory_order_acq_rel);
-    }
-    completeRequest(m, Op::kWInsertAck, ackPayload, std::move(hops));
-    return;
-  }
-  if (unknown) dropped_.inc();
-  completeRequest(m, Op::kWInsertAck, {});
-}
 
 void Worker::handleQuery(const Message& m) {
   const std::uint64_t recvNanos = nowNanos();
@@ -801,9 +665,10 @@ void Worker::handleBulk(const Message& m) {
       if (slot == nullptr) {
         if (durable_ != nullptr && durable_->knows(id)) {
           // A shard the durable store knows but this worker does not host:
-          // we were fenced out of it (coalesced singles ride kWBulk, so
-          // this mirrors kWInsert's fenced handling). Acking would claim
-          // items that were never applied — bail out below, unacked.
+          // we were fenced out of it (or never owned it while someone else
+          // does). Acking would claim items that were never applied — bail
+          // out below, unacked; the sender's retry re-resolves toward the
+          // live owner.
           fencedUnknown = true;
           break;
         }
@@ -887,11 +752,13 @@ void Worker::handleBulk(const Message& m) {
   for (const auto& t : targets) toApply += t.items.size();
   // The ack carries a backpressure hint: this worker's inbox depth at ack
   // time. Servers throttle coalesced flushes when it crosses their
-  // watermark (see ServerConfig::coalesceBacklogWatermark).
-  const Blob ackPayload =
-      WBulkAck{toApply + forwarded,
-               static_cast<std::uint64_t>(inbox_->pending())}
-          .encode();
+  // watermark (see ServerConfig::coalesceBacklogWatermark). It also names
+  // every slot that absorbed items and that slot's fencing epoch, so
+  // servers can reject a fenced zombie's late acks.
+  WBulkAck ack{toApply + forwarded,
+               static_cast<std::uint64_t>(inbox_->pending()), {}};
+  for (const auto& t : targets) ack.stamps.emplace_back(t.id, t.epoch);
+  const Blob ackPayload = ack.encode();
   const bool chained =
       durable_ != nullptr &&
       chainsActive_.load(std::memory_order_acquire) != 0;
@@ -958,9 +825,9 @@ void Worker::handleBulk(const Message& m) {
         d->hops.insert(d->hops.end(), hops.begin(), hops.end());
       }
     }
-    // Forward while every target's in-flight ticket is still held (see
-    // handleInsert): a reconfig snapshot and the chain must not both
-    // cover a record, and neither may miss it.
+    // Forward while every target's in-flight ticket is still held: a
+    // reconfig snapshot drains tickets under slotsMu_, so a record must not
+    // be covered by both the snapshot and the chain, nor missed by both.
     for (std::size_t i = 0; i < targets.size(); ++i)
       deferred |= replicateRecord(targets[i].id, targets[i].epoch,
                                   std::move(replRecs[i]), d,
@@ -1158,19 +1025,10 @@ void Worker::handleTransferShard(const Message& m) {
     // records the source's checkpoints already folded away. All of them
     // were applied by the SOURCE and are part of the shipped blob, so a
     // sender retransmitting one (its ack died with the old placement)
-    // must get the ack replayed here, never a second apply. Insert acks
-    // are re-stamped with the shipped epoch, mirroring crash recovery.
-    if (durable_ != nullptr) {
-      const std::vector<WalRecord> tail = durable_->dedupTail(xfer.shard);
-      std::lock_guard lock(dedupMu_);
-      for (const auto& rec : tail) {
-        if (rec.corr == 0) continue;
-        Blob ack = rec.ackPayload;
-        if (rec.ackOp == static_cast<std::uint16_t>(Op::kWInsertAck))
-          ack = WInsertAckInfo{xfer.shard, xfer.epoch}.encode();
-        replay_.remember(rec.from, rec.corr, rec.ackOp, std::move(ack));
-      }
-    }
+    // must get the ack replayed here, never a second apply.
+    if (durable_ != nullptr)
+      seedReplayCache(xfer.shard, xfer.epoch,
+                      durable_->dedupTail(xfer.shard));
     std::lock_guard lock(slotsMu_);
     // Claim the shard in the durable store under the shipped epoch before
     // serving it. A failure means the shard was fenced past this epoch
@@ -1294,23 +1152,9 @@ void Worker::handleRecoverShard(const Message& m) {
   // Seed the replay cache with the logged acks — both the applied index
   // (requests older checkpoints folded away) and the WAL tail — so an
   // originating server retransmitting an already-applied insert gets an
-  // ack instead of a double apply. Insert acks are re-stamped with the
-  // new epoch (the old stamp would be rejected as a zombie ack —
-  // correctly, but needlessly).
-  {
-    std::lock_guard lock(dedupMu_);
-    auto seed = [&](const std::vector<WalRecord>& recs) {
-      for (const auto& rec : recs) {
-        if (rec.corr == 0) continue;
-        Blob ack = rec.ackPayload;
-        if (rec.ackOp == static_cast<std::uint16_t>(Op::kWInsertAck))
-          ack = WInsertAckInfo{req.shard, req.epoch}.encode();
-        replay_.remember(rec.from, rec.corr, rec.ackOp, std::move(ack));
-      }
-    };
-    seed(req.applied);
-    seed(req.wal);
-  }
+  // ack instead of a double apply.
+  seedReplayCache(req.shard, req.epoch, req.applied);
+  seedReplayCache(req.shard, req.epoch, req.wal);
   {
     std::lock_guard lock(slotsMu_);
     Slot slot;
@@ -2080,16 +1924,7 @@ void Worker::handleReplPromote(const Message& m) {
   // client-acked (the tail never confirmed past rs.lastApplied before the
   // primary died), so the senders' retransmissions re-apply them against
   // the promoted slot — exactly-once via the replay cache seeded below.
-  {
-    std::lock_guard lock(dedupMu_);
-    for (const auto& rec : rs.log) {
-      if (rec.corr == 0) continue;
-      Blob ack = rec.ackPayload;
-      if (rec.ackOp == static_cast<std::uint16_t>(Op::kWInsertAck))
-        ack = WInsertAckInfo{req.shard, req.epoch}.encode();
-      replay_.remember(rec.from, rec.corr, rec.ackOp, std::move(ack));
-    }
-  }
+  seedReplayCache(req.shard, req.epoch, rs.log);
   {
     std::lock_guard lock(slotsMu_);
     Slot slot;

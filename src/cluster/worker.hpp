@@ -185,7 +185,6 @@ class Worker {
 
   void serve();
   void handleStats(const Message& m);
-  void handleInsert(const Message& m);
   void handleQuery(const Message& m);
   void handleBulk(const Message& m);
   void handleCreateShard(const Message& m);
@@ -270,6 +269,14 @@ class Worker {
   /// Forwarded elsewhere or intentionally unacked: forget the in-flight
   /// marker so a retransmission is processed (e.g. re-forwarded) again.
   void abandonRequest(const Message& m);
+  /// Seed the replay cache from logged requests of a shard this worker now
+  /// holds under `epoch` (migration install, crash recovery, promotion), so
+  /// a retransmission of an already-applied request is re-acked, never
+  /// re-applied. Bulk acks are re-stamped with `epoch`. `Records` is any
+  /// container of WalRecord (a WAL vector, a replica's log deque).
+  template <typename Records>
+  void seedReplayCache(ShardId shard, std::uint64_t epoch,
+                       const Records& recs);
 
   /// Register a worker-to-worker request for retransmission and send it.
   void sendWithRetry(const std::string& dest, Op op, std::uint64_t corr,

@@ -84,16 +84,28 @@ class ShardTree final : public Shard {
     // Hilbert-sorted bottom-up packing: the bulk-ingestion path behind the
     // paper's ">400 thousand items per second" headline (SIV-C). Requires
     // no concurrent inserts (enforced by holding the root lock).
-    Node* oldRoot = lockRootExclusive();
-    if (!oldRoot->leaf || leafCount(*oldRoot) != 0) {
-      oldRoot->lock.unlock();  // data raced in; fall back to batch inserts
+    Node* root = lockRootExclusive();
+    if (!root->leaf || leafCount(*root) != 0) {
+      root->lock.unlock();  // data raced in; fall back to batch inserts
       bulkInsertSorted(items);
       return;
     }
-    Node* newRoot = buildPacked(items);
-    root_.store(newRoot, std::memory_order_release);
-    oldRoot->lock.unlock();
-    freeTree(oldRoot);
+    // The root node itself stays put: other threads may be spinning on its
+    // lock (a concurrent bulkInsert into the same empty shard, a query), so
+    // publishing a new root and freeing this one would hand them freed
+    // memory. Move the packed root's contents in and free only its shell.
+    Node* packed = buildPacked(items);
+    root->leaf = packed->leaf;
+    root->childKeys = std::move(packed->childKeys);
+    root->childAggs = std::move(packed->childAggs);
+    root->childMaxH = std::move(packed->childMaxH);
+    root->children = std::move(packed->children);
+    root->cols = std::move(packed->cols);
+    root->measures = std::move(packed->measures);
+    root->hkeys = std::move(packed->hkeys);
+    delete packed;
+    nodeCount_.fetch_sub(1, std::memory_order_relaxed);
+    root->lock.unlock();
     // Fold the whole batch into a local key first so boundsLock_ is taken
     // once, not once per item.
     MdsKey batchBounds;

@@ -148,7 +148,7 @@ TEST(Chaos, ConvergesAfterLossyPhases) {
       [&] {
         for (unsigned s = 0; s < cluster.serverCount(); ++s) {
           const Server::Stats st = cluster.server(s).stats();
-          if (st.pendingInserts != 0 || st.pendingQueries != 0 ||
+          if (st.pendingCoalesced != 0 || st.pendingQueries != 0 ||
               st.pendingBulks != 0 || st.retryEntries != 0)
             return false;
         }

@@ -1,7 +1,7 @@
 // Ingest hot-path tests: server-side coalescing (size / deadline / eager
 // flush triggers), exactly-once delivery when coalesced batches are
 // retransmitted, group-commit WAL equivalence with per-record appends, the
-// Hilbert-presorted batch apply, and crash recovery with coalescing on —
+// Hilbert-presorted batch apply, and crash recovery of coalesced inserts —
 // "acked implies durable and queryable" must be unchanged by the pipeline.
 #include <gtest/gtest.h>
 
@@ -62,8 +62,8 @@ std::uint64_t serverCoalescedItems(VolapCluster& c) {
 bool coalesceGaugesDrained(VolapCluster& c) {
   for (unsigned s = 0; s < c.serverCount(); ++s) {
     const Server::Stats st = c.server(s).stats();
-    if (st.pendingInserts != 0 || st.pendingCoalesced != 0 ||
-        st.coalesceBuffered != 0 || st.retryEntries != 0)
+    if (st.pendingCoalesced != 0 || st.coalesceBuffered != 0 ||
+        st.retryEntries != 0)
       return false;
   }
   return true;
@@ -72,7 +72,6 @@ bool coalesceGaugesDrained(VolapCluster& c) {
 TEST(IngestCoalesce, FlushOnSizeThreshold) {
   const Schema schema = Schema::tpcds();
   ClusterOptions opts = coalesceOptions();
-  opts.server.coalesce = true;
   opts.server.coalesceEager = false;  // isolate the size trigger
   opts.server.coalesceMaxItems = 8;
   opts.server.coalesceDelayNanos = 50'000'000;  // safety net, not the trigger
@@ -89,7 +88,7 @@ TEST(IngestCoalesce, FlushOnSizeThreshold) {
   const Server::Stats st = cluster.server(0).stats();
   EXPECT_GE(st.coalescedBatches, 1u);
   EXPECT_GE(st.coalesceSizeFlushes, 1u);
-  // Every insert rode a coalesced batch; none took the per-item path.
+  // Every insert rode a coalesced batch.
   EXPECT_EQ(serverCoalescedItems(cluster), static_cast<std::uint64_t>(kN));
   EXPECT_TRUE(eventually([&] { return cluster.totalItems() == kN; }));
   EXPECT_TRUE(eventually([&] { return coalesceGaugesDrained(cluster); }));
@@ -98,7 +97,6 @@ TEST(IngestCoalesce, FlushOnSizeThreshold) {
 TEST(IngestCoalesce, FlushOnDeadline) {
   const Schema schema = Schema::tpcds();
   ClusterOptions opts = coalesceOptions();
-  opts.server.coalesce = true;
   opts.server.coalesceEager = false;
   opts.server.coalesceMaxItems = 100'000;       // size can never trigger
   opts.server.coalesceDelayNanos = 20'000'000;  // 20ms
@@ -119,7 +117,6 @@ TEST(IngestCoalesce, FlushOnDeadline) {
 TEST(IngestCoalesce, ExactlyOnceUnderAckLossAndRetransmission) {
   const Schema schema = Schema::tpcds();
   ClusterOptions opts = coalesceOptions();
-  opts.server.coalesce = true;
   VolapCluster cluster(schema, opts);
   auto client = cluster.makeClient("c0", 0, 256);
   DataGenerator gen(schema, 9);
@@ -216,7 +213,6 @@ TEST(IngestCoalesce, BulkInsertMatchesPointInsertOracle) {
 TEST(IngestCoalesce, AckedCoalescedInsertsSurviveWorkerCrash) {
   const Schema schema = Schema::tpcds();
   ClusterOptions opts = coalesceOptions();
-  opts.server.coalesce = true;
   opts.workers = 3;
   opts.worker.statsIntervalNanos = 40'000'000;
   opts.worker.checkpointIntervalNanos = 60'000'000;

@@ -199,26 +199,27 @@ TEST(Recovery, FencedZombieCannotAckAndLateAcksAreRejected) {
   // must die silently: no ack (the sender's retry finds the live owner),
   // and the refusal is counted.
   auto probe = cluster.fabric().bind("probe-box");
-  WInsert ins;
+  ShardBatch ins;
   ins.shard = zshards[0];
-  const PointRef ref = gen.next();
-  ins.point.coords.assign(ref.coords.begin(), ref.coords.end());
-  ins.point.measure = ref.measure;
+  ins.items = PointSet(schema.dims());
+  ins.items.push(gen.next());
   cluster.fabric().send(
       workerEndpoint(2),
-      makeMessage(Op::kWInsert, /*corr=*/999'001, "probe-box", ins.encode()));
+      makeMessage(Op::kWBulk, /*corr=*/999'001, "probe-box", ins.encode()));
   const auto ack = probe->recvFor(300ms);
   EXPECT_FALSE(ack.has_value());
   EXPECT_TRUE(eventually([&] { return cluster.worker(2).fencedOps() >= 1; }));
 
-  // A late ack carrying the zombie's old epoch must be rejected by any
-  // server whose image already knows the shard's newer epoch.
+  // A late bulk ack carrying the zombie's old epoch must be rejected by
+  // any server whose image already knows the shard's newer epoch.
   EXPECT_TRUE(eventually(
       [&] {
-        const Blob forged = WInsertAckInfo{zshards[0], 0}.encode();
+        WBulkAck forged;
+        forged.applied = 1;
+        forged.stamps = {{zshards[0], 0}};
         cluster.fabric().send(serverEndpoint(0),
-                              makeMessage(Op::kWInsertAck, /*corr=*/999'002,
-                                          workerEndpoint(2), forged));
+                              makeMessage(Op::kWBulkAck, /*corr=*/999'002,
+                                          workerEndpoint(2), forged.encode()));
         return cluster.server(0).stats().staleEpochAcks >= 1;
       },
       5000ms));

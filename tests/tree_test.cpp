@@ -5,6 +5,7 @@
 // Deserialize) are exercised end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -356,6 +357,43 @@ TEST(ShardTree, MemoryUseGrowsWithSize) {
   DataGenerator gen(schema, 702);
   for (int i = 0; i < 1000; ++i) shard->insert(gen.next());
   EXPECT_GT(shard->memoryUse(), empty + 1000 * schema.dims() * 8);
+}
+
+TEST(ShardTree, ConcurrentFirstBatchesIntoEmptyShardAreSafe) {
+  // A worker pool can apply the first two batches of a fresh shard at once:
+  // both see it empty and race for the packed bulk-load path while a query
+  // descends from the root. The loser (and the query) wait on the root's
+  // lock, so that node must still be live when the winner releases it.
+  const Schema schema = Schema::tpcds();
+  DataGenerator gen(schema, 808);
+  const PointSet a = gen.generate(8);
+  const PointSet b = gen.generate(8);
+  const QueryBox all(schema);
+  for (int round = 0; round < 3000; ++round) {
+    auto shard = makeShard(ShardKind::kHilbertPdcMds, schema);
+    std::atomic<int> arrived{0};
+    auto barrier = [&] {
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      while (arrived.load(std::memory_order_acquire) < 3)
+        std::this_thread::yield();
+    };
+    std::thread t1([&] {
+      barrier();
+      shard->bulkInsert(a);
+    });
+    std::thread t2([&] {
+      barrier();
+      shard->bulkInsert(b);
+    });
+    barrier();
+    const std::uint64_t seen = shard->query(all).count;
+    t1.join();
+    t2.join();
+    ASSERT_LE(seen, 16u);
+    ASSERT_EQ(shard->size(), 16u) << "round " << round;
+    ASSERT_EQ(shard->query(all).count, 16u) << "round " << round;
+    checkTreeInvariants(*shard);
+  }
 }
 
 }  // namespace

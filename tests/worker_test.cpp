@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 
 #include "cluster/worker.hpp"
 #include "keeper/keeper.hpp"
@@ -48,18 +49,24 @@ class WorkerTest : public ::testing::Test {
     EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kCreateShardAck));
   }
 
+  /// A one-item kWBulk batch: what a server's coalescing lane sends for a
+  /// lone client insert.
+  ShardBatch oneItem(ShardId shard) {
+    ShardBatch req;
+    req.shard = shard;
+    req.items = PointSet(schema_.dims());
+    req.items.push(gen_.next());
+    return req;
+  }
+
   std::uint64_t insertN(Worker& w, ShardId shard, int n) {
     // Monotone across calls: workers deduplicate redelivered (from, corr)
     // pairs, so reusing a corr would silently no-op the insert.
     std::uint64_t& corr = nextCorr_;
     for (int i = 0; i < n; ++i) {
-      WInsert req;
-      const PointRef p = gen_.next();
-      req.shard = shard;
-      req.point = {{p.coords.begin(), p.coords.end()}, p.measure};
-      const Message ack = send(workerEndpoint(w.id()), Op::kWInsert,
-                               req.encode(), corr++);
-      EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWInsertAck));
+      const Message ack = send(workerEndpoint(w.id()), Op::kWBulk,
+                               oneItem(shard).encode(), corr++);
+      EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWBulkAck));
     }
     return corr;
   }
@@ -96,13 +103,13 @@ TEST_F(WorkerTest, CreateInsertQuery) {
 
 TEST_F(WorkerTest, UnknownShardStillAcksInserts) {
   Worker w(fabric_, schema_, 0);
-  WInsert req;
-  const PointRef p = gen_.next();
-  req.shard = 999;  // never created
-  req.point = {{p.coords.begin(), p.coords.end()}, p.measure};
-  const Message ack =
-      send(workerEndpoint(0), Op::kWInsert, req.encode(), 5);
-  EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWInsertAck));
+  const Message ack = send(workerEndpoint(0), Op::kWBulk,
+                           oneItem(/*never created*/ 999).encode(), 5);
+  EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWBulkAck));
+  // Acked with nothing applied and no fencing stamp to check.
+  const WBulkAck info = WBulkAck::decode(ack.payload);
+  EXPECT_EQ(info.applied, 0u);
+  EXPECT_TRUE(info.stamps.empty());
   EXPECT_EQ(w.itemsHeld(), 0u);
 }
 
@@ -111,14 +118,14 @@ TEST_F(WorkerTest, RedeliveredRequestsAreDeduplicated) {
   createShard(w, 1);
   // The same insert retransmitted with one corr: applied once, acked every
   // time (the replay cache answers the duplicates).
-  WInsert req;
-  const PointRef p = gen_.next();
-  req.shard = 1;
-  req.point = {{p.coords.begin(), p.coords.end()}, p.measure};
+  const Blob one = oneItem(1).encode();
   for (int i = 0; i < 3; ++i) {
-    const Message ack =
-        send(workerEndpoint(0), Op::kWInsert, req.encode(), 500);
-    EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWInsertAck));
+    const Message ack = send(workerEndpoint(0), Op::kWBulk, one, 500);
+    EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWBulkAck));
+    const WBulkAck info = WBulkAck::decode(ack.payload);
+    EXPECT_EQ(info.applied, 1u);
+    ASSERT_EQ(info.stamps.size(), 1u);
+    EXPECT_EQ(info.stamps[0].first, 1u);
   }
   EXPECT_EQ(w.itemsHeld(), 1u);
   EXPECT_GE(w.redelivered(), 2u);
@@ -196,8 +203,13 @@ TEST_F(WorkerTest, MigrationMovesDataAndLeavesForwardingStub) {
   // The destination serves the data.
   EXPECT_EQ(queryShards(dst, {1}).agg.count, 200u);
 
-  // Inserts sent to the stale location are forwarded and acked by dest.
+  // Inserts sent to the stale location are acked by the stub and forwarded
+  // to dest under the stub's own retry budget (at-least-once), so they land
+  // there shortly after the ack.
   insertN(src, 1, 10);
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (dst.itemsHeld() < 210u && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
   EXPECT_EQ(dst.itemsHeld(), 210u);
 }
 
