@@ -2,7 +2,7 @@
 # CI entry point: tier-1 build + tests plain, then again under TSan, then
 # under ASan+UBSan (the chaos and crash-recovery tests are part of the
 # suite in every pass), then a Release (-O3) perf-smoke leg that runs the
-# leaf-scan microbenchmark with its 2x speedup floor enforced, the
+# leaf-scan microbenchmark with its 4x speedup floor enforced, the
 # headline-ingest bench with its mixed-insert-rate floor enforced (2x the
 # pre-coalescing seed), plus the crash-recovery MTTR bench (cold replay vs
 # chain-failover promotion, BENCH_recovery.json + BENCH_failover.json), and
@@ -34,7 +34,7 @@ run_pass asan-ubsan build-asan -DVOLAP_SANITIZE=address,undefined
 # are in the suite above too; this leg keeps the replication data races
 # loud even if the suite is ever filtered down.
 echo "==== [tsan] chaos-replication ===="
-ctest --test-dir build-tsan --output-on-failure -R 'failover' -j "$JOBS"
+ctest --test-dir build-tsan --output-on-failure -R 'Failover' -j "$JOBS"
 
 echo "==== [release] configure ===="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

@@ -95,6 +95,8 @@ inline const std::vector<std::string>& requiredWorkerMetrics() {
       "worker.shards_recovered",
       "worker.checkpoints",
       "worker.items_held",
+      "worker.scan.leaves",
+      "worker.scan.items",
       "worker.shards",
       "worker.retry_entries",
       "repl.appends_forwarded",

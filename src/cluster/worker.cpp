@@ -105,6 +105,12 @@ Worker::Worker(Fabric& fabric, const Schema& schema, WorkerId id,
   metrics_.gaugeFn("worker.items_held", [this] {
     return static_cast<std::int64_t>(itemsHeld());
   });
+  metrics_.gaugeFn("worker.scan.leaves", [this] {
+    return static_cast<std::int64_t>(leavesScanned());
+  });
+  metrics_.gaugeFn("worker.scan.items", [this] {
+    return static_cast<std::int64_t>(itemsTested());
+  });
   metrics_.gaugeFn("worker.shards", [this] {
     return static_cast<std::int64_t>(shardCount());
   });
@@ -185,6 +191,28 @@ std::size_t Worker::shardCount() const {
   for (const auto& [id, slot] : slots_)
     if (slot.movedTo == kNoWorker) ++n;
   return n;
+}
+
+template <typename Count>
+std::uint64_t Worker::sumOverShards(Count count) const {
+  std::uint64_t total = 0;
+  {
+    std::lock_guard lock(slotsMu_);
+    for (const auto& [id, slot] : slots_)
+      if (slot.shard) total += count(*slot.shard);
+  }
+  std::lock_guard lock(replMu_);
+  for (const auto& [id, rs] : replicaShards_)
+    if (rs.shard) total += count(*rs.shard);
+  return total;
+}
+
+std::uint64_t Worker::leavesScanned() const {
+  return sumOverShards([](const Shard& s) { return s.leavesScanned(); });
+}
+
+std::uint64_t Worker::itemsTested() const {
+  return sumOverShards([](const Shard& s) { return s.itemsTested(); });
 }
 
 std::size_t Worker::retryEntries() const {

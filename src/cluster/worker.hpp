@@ -93,6 +93,10 @@ class Worker {
   std::uint64_t batchesRejected() const { return rejectedBatches_.value(); }
   std::uint64_t itemsHeld() const;
   std::size_t shardCount() const;
+  /// Leaves scanned and items tested by queries, summed over the shards
+  /// (primary and replica) this worker holds now.
+  std::uint64_t leavesScanned() const;
+  std::uint64_t itemsTested() const;
 
   // Fault-tolerance counters.
   std::uint64_t redelivered() const { return redelivered_.value(); }
@@ -182,6 +186,10 @@ class Worker {
     std::uint64_t dueNanos = 0;
     ShardId shard = 0;  // for kTransferShard: which migration to abort
   };
+
+  /// Sum of `count(shard)` over every shard held, primary and replica.
+  template <typename Count>
+  std::uint64_t sumOverShards(Count count) const;
 
   void serve();
   void handleStats(const Message& m);

@@ -5,13 +5,15 @@
 // interval vector. FlatQuery pre-compiles the box once per query into
 // contiguous lo[]/width[] arrays holding only the *constrained* dimensions,
 // ordered most-selective-first, so a columnar leaf scan is a sequence of
-// branch-free fused interval tests ((c - lo) <= width, one unsigned
-// compare per point per dimension) the compiler can vectorize.
+// fused interval tests ((c - lo) <= width, one unsigned compare per point
+// per dimension). Each column pass ANDs its compare bits into a bit-packed
+// selection vector (one uint64_t word per 64 items); the kernels live in
+// flat_query.cpp.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "olap/aggregate.hpp"
@@ -41,8 +43,8 @@ class FlatQuery {
                           static_cast<double>(extent)});
     }
     // Most selective dimension first: the narrowest interval zeroes the
-    // most mask bytes early, making later column passes cheap and letting
-    // callers early-out on an all-zero mask.
+    // most selection words early, making later column passes cheap and
+    // letting callers early-out on an all-zero selection.
     std::sort(ents.begin(), ents.end(),
               [](const Ent& a, const Ent& b) { return a.frac < b.frac; });
     dims_.reserve(ents.size());
@@ -79,60 +81,57 @@ class FlatQuery {
   std::vector<std::uint64_t> width_;
 };
 
-/// One column pass of the branch-free leaf scan:
-/// mask[i] &= (col[i] in [lo, lo+width]) for i in [0, n).
-/// Returns false when no byte survived, so callers can stop scanning the
-/// remaining (less selective) columns of a dead block.
-inline bool maskIntervalColumn(const std::uint64_t* col, std::size_t n,
-                               std::uint64_t lo, std::uint64_t width,
-                               std::uint8_t* mask) {
-  std::uint8_t alive = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mask[i] &= static_cast<std::uint8_t>((col[i] - lo) <= width);
-    alive |= mask[i];
-  }
-  return alive != 0;
-}
+/// Words in the selection vector of an n-item block: bit i%64 of word i/64
+/// says whether item i is still selected.
+constexpr std::size_t selectionWords(std::size_t n) { return (n + 63) / 64; }
 
-/// Aggregate the measures whose mask byte survived; the loop body is
-/// select-based (no data-dependent branches).
-inline Aggregate maskedAggregate(const double* measures,
-                                 const std::uint8_t* mask, std::size_t n) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::uint64_t count = 0;
-  double sum = 0, mn = kInf, mx = -kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool ok = mask[i] != 0;
-    const double m = measures[i];
-    count += ok;
-    sum += ok ? m : 0.0;
-    mn = std::min(mn, ok ? m : kInf);
-    mx = std::max(mx, ok ? m : -kInf);
-  }
-  Aggregate a;
-  if (count != 0) {
-    a.count = count;
-    a.sum = sum;
-    a.min = mn;
-    a.max = mx;
-  }
-  return a;
-}
+/// Select all n items: full words all-ones, the tail word's bits at and
+/// past n clear (so only a full 64-item word can ever be all-ones).
+void selectAll(std::uint64_t* sel, std::size_t n);
+
+/// One column pass: clear bit i of `sel` unless (col[i] - lo) <= width,
+/// i.e. col[i] lies in [lo, lo + width]. Words that are already zero are
+/// skipped. Returns false when no bit survived, so callers can stop
+/// scanning the remaining (less selective) columns of a dead block. Runs
+/// the AVX-512 compare on hosts that have it, else the portable path; the
+/// choice is made once per process.
+bool selectInterval(const std::uint64_t* col, std::size_t n, std::uint64_t lo,
+                    std::uint64_t width, std::uint64_t* sel);
+
+/// Aggregate the measures whose selection bit is set. All-ones words take a
+/// dense multi-accumulator path; other words walk their set bits.
+Aggregate selectedAggregate(const double* measures, const std::uint64_t* sel,
+                            std::size_t n);
+
+namespace detail {
+/// Signature shared by every column pass.
+using ColumnPass = bool (*)(const std::uint64_t*, std::size_t, std::uint64_t,
+                            std::uint64_t, std::uint64_t*);
+/// True when the CPU supports the AVX-512 column pass.
+bool haveAvx512();
+/// The two implementations selectInterval dispatches between. Same
+/// contract; selectIntervalAvx512 may only be called when haveAvx512().
+bool selectIntervalScalar(const std::uint64_t* col, std::size_t n,
+                          std::uint64_t lo, std::uint64_t width,
+                          std::uint64_t* sel);
+bool selectIntervalAvx512(const std::uint64_t* col, std::size_t n,
+                          std::uint64_t lo, std::uint64_t width,
+                          std::uint64_t* sel);
+}  // namespace detail
 
 /// Full scan of one columnar block: `colAt(j)` returns dimension j's
-/// column (n contiguous values). `mask` is caller-owned scratch of at
-/// least n bytes. Matches are merged into `out`.
+/// column (n contiguous values). `sel` is caller-owned scratch of at least
+/// selectionWords(n) words. Matches are merged into `out`.
 template <typename ColAt>
 inline void scanColumns(const FlatQuery& fq, ColAt colAt,
                         const double* measures, std::size_t n,
-                        std::uint8_t* mask, Aggregate& out) {
+                        std::uint64_t* sel, Aggregate& out) {
   if (n == 0) return;
-  std::fill_n(mask, n, std::uint8_t{1});
+  selectAll(sel, n);
   for (unsigned k = 0; k < fq.constrained(); ++k)
-    if (!maskIntervalColumn(colAt(fq.dimAt(k)), n, fq.lo(k), fq.width(k),
-                            mask))
+    if (!selectInterval(colAt(fq.dimAt(k)), n, fq.lo(k), fq.width(k), sel))
       return;  // block fully rejected by a more selective column
-  out.merge(maskedAggregate(measures, mask, n));
+  out.merge(selectedAggregate(measures, sel, n));
 }
 
 }  // namespace volap

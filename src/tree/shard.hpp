@@ -5,6 +5,7 @@
 // SerializeShard and DeserializeShard.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -110,6 +111,26 @@ class Shard {
 
   /// Rough bytes of memory held; drives the manager's capacity balancing.
   virtual std::size_t memoryUse() const = 0;
+
+  /// Leaves scanned and items tested by query() over this shard's life
+  /// (tree shards only; the stats plane's "pruning or kernel" counters).
+  std::uint64_t leavesScanned() const {
+    return leavesScanned_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t itemsTested() const {
+    return itemsTested_.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  /// Publish one query's scan tally.
+  void countScan(std::uint64_t leaves, std::uint64_t items) const {
+    leavesScanned_.fetch_add(leaves, std::memory_order_relaxed);
+    itemsTested_.fetch_add(items, std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<std::uint64_t> leavesScanned_{0};
+  mutable std::atomic<std::uint64_t> itemsTested_{0};
 };
 
 /// Create an empty shard of the given kind.

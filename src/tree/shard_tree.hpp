@@ -16,10 +16,11 @@
 //    the query box, so high-coverage aggregations never reach the leaves
 //    (Fig. 4 / Fig. 9a).
 //  * Leaves are columnar (one contiguous value column per dimension plus a
-//    measure column), so the residual leaf scan is a branch-free fused
-//    interval test per constrained dimension (see olap/flat_query.hpp)
-//    instead of a per-point short-circuit loop, and the descent itself is
-//    an explicit-stack traversal rather than recursion.
+//    measure column), so the residual leaf scan is a fused interval test
+//    per constrained dimension into a bit-packed selection (see
+//    olap/flat_query.hpp) instead of a per-point short-circuit loop, and
+//    the descent itself is an explicit-stack traversal rather than
+//    recursion.
 #pragma once
 
 #include <atomic>
@@ -640,23 +641,26 @@ class ShardTree final : public Shard {
 
   // ---- queries -----------------------------------------------------------
 
-  /// Branch-free columnar scan of one leaf (see olap/flat_query.hpp):
-  /// every constrained column gets a fused lo/hi interval pass over
-  /// contiguous memory, then the survivors' measures are aggregated.
-  void scanLeaf(const Node& n, const FlatQuery& fq,
-                std::vector<std::uint8_t>& mask, Aggregate& out) const {
+  /// Columnar scan of one leaf (see olap/flat_query.hpp): every
+  /// constrained column gets a fused lo/hi interval pass over contiguous
+  /// memory into a bit-packed selection, then the survivors' measures are
+  /// aggregated. Returns the number of items tested.
+  std::size_t scanLeaf(const Node& n, const FlatQuery& fq,
+                       std::vector<std::uint64_t>& sel, Aggregate& out) const {
     const std::size_t cnt = leafCount(n);
-    if (cnt == 0) return;
-    if (mask.size() < cnt) mask.resize(cnt);
+    if (cnt == 0) return 0;
+    if (sel.size() < selectionWords(cnt)) sel.resize(selectionWords(cnt));
     scanColumns(
         fq, [&](unsigned j) { return n.cols[j].data(); },
-        n.measures.data(), cnt, mask.data(), out);
+        n.measures.data(), cnt, sel.data(), out);
+    return cnt;
   }
 
   /// Explicit-stack traversal; holds shared locks on the current
   /// root-to-node path exactly like the recursive descent it replaces, and
   /// still honors the cached-aggregate pruning: a child key containedIn
-  /// the query merges childAggs and never descends.
+  /// the query merges childAggs and never descends. Leaves scanned and
+  /// items tested are tallied locally and published once per query.
   void queryTree(const Node* root, const QueryBox& q, const FlatQuery& fq,
                  Aggregate& out) const {
     struct Frame {
@@ -665,13 +669,15 @@ class ShardTree final : public Shard {
     };
     std::vector<Frame> stack;
     stack.reserve(8);
-    std::vector<std::uint8_t> mask(cfg_.leafCapacity);
+    std::vector<std::uint64_t> sel(selectionWords(cfg_.leafCapacity));
+    std::uint64_t leaves = 0, items = 0;
     stack.push_back({root, 0});
     while (!stack.empty()) {
       Frame& f = stack.back();
       const Node& n = *f.n;
       if (n.leaf) {
-        scanLeaf(n, fq, mask, out);
+        ++leaves;
+        items += scanLeaf(n, fq, sel, out);
         n.lock.unlock_shared();
         stack.pop_back();
         continue;
@@ -691,6 +697,7 @@ class ShardTree final : public Shard {
       c->lock.lock_shared();
       stack.push_back({c, 0});  // invalidates f; reloaded next iteration
     }
+    countScan(leaves, items);
   }
 
   void collectNode(const Node& n, PointSet& out) const {

@@ -246,10 +246,12 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 }
 
 TEST(ThreadPool, SubmittedTasksRun) {
-  ThreadPool pool(2);
+  // Declared before the pool, so the pool's destructor joins its workers
+  // before the condition variable they notify is destroyed.
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(2);
   for (int i = 0; i < 32; ++i) {
     pool.submit([&] {
       if (ran.fetch_add(1) + 1 == 32) {

@@ -7,6 +7,8 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/stats.hpp"
 #include "olap/data_gen.hpp"
@@ -76,6 +78,36 @@ TEST(StatsPlane, EveryNodeAnswersWithRequiredMetrics) {
   ASSERT_NE(mg, byNode.end());
   EXPECT_NE(mg->second.findCounter("manager.splits"), nullptr);
   EXPECT_NE(mg->second.findGauge("manager.ops_in_flight"), nullptr);
+
+  // The scan counters move after a low-coverage query: one dimension
+  // pinned to the leaf value of the workload's first item, so the query
+  // matches little and its shard must scan a leaf to answer.
+  std::vector<std::string> workers;
+  for (unsigned w = 0; w < 3; ++w)
+    workers.push_back(workerEndpoint(static_cast<WorkerId>(w)));
+  auto scanTotals = [&] {
+    std::int64_t leaves = 0, items = 0;
+    const auto rs = scrapeStats(cluster.fabric(), workers);
+    EXPECT_EQ(rs.size(), workers.size());
+    for (const auto& r : rs) {
+      leaves += *r.snapshot.findGauge("worker.scan.leaves");
+      items += *r.snapshot.findGauge("worker.scan.items");
+    }
+    return std::pair{leaves, items};
+  };
+  const auto before = scanTotals();
+  DataGenerator gen(schema, 11);  // runWorkload's stream
+  const PointRef first = gen.next();
+  QueryBox low(schema);
+  low.constrainAncestor(schema, 0, first.coords[0], schema.dim(0).depth());
+  auto client = cluster.makeClient("scan-probe", 0);
+  const QueryReply r = client->query(low);
+  ASSERT_FALSE(r.partial);
+  EXPECT_GE(r.agg.count, 1u);
+  EXPECT_LT(r.agg.count, 2'000u);
+  const auto after = scanTotals();
+  EXPECT_GT(after.first, before.first) << "worker.scan.leaves did not move";
+  EXPECT_GT(after.second, before.second) << "worker.scan.items did not move";
 }
 
 TEST(StatsPlane, FreshnessLagAndStageHistogramsFill) {
