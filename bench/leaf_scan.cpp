@@ -1,10 +1,10 @@
 // Leaf-scan microbenchmark: the seed's per-point QueryBox::contains loop
 // (short-circuit branch per dimension, point-major layout) versus the SoA
-// scan (FlatQuery + one fused lo/hi interval pass per constrained column
-// into a bit-packed selection, then a word-wise aggregate; see
-// olap/flat_query.hpp) over the SAME data and queries. The SoA scan runs
-// twice: with the column pass the library dispatches to on this host, and
-// with the portable scalar pass forced. Every run must produce the seed's
+// scan (FlatQuery + one fused lo/hi interval pass per constrained 32-bit
+// column into a bit-packed selection, then the selected-measure aggregate;
+// see olap/flat_query.hpp) over the SAME data and queries. The SoA scan
+// runs twice: with the column pass and aggregate the library dispatches to
+// on this host, and with the portable scalar paths forced. Every run must produce the seed's
 // aggregates (the bench doubles as a correctness check), and the
 // dispatched scan is expected to be >= 4x faster than the seed loop in a
 // Release build. Set VOLAP_BENCH_ENFORCE=1 (CI release leg) to turn the 4x
@@ -34,14 +34,16 @@ int main() {
   DataGenerator gen(schema, 21);
   const PointSet data = gen.generate(n);
 
-  // Columnar copy of the same items (what a ShardTree leaf stores).
-  std::vector<std::vector<std::uint64_t>> cols(d);
+  // Columnar copy of the same items (what a ShardTree leaf stores: 32-bit
+  // coordinates, every dimension fits).
+  std::vector<std::vector<std::uint32_t>> cols(d);
   for (unsigned j = 0; j < d; ++j) cols[j].reserve(n);
   std::vector<double> measures;
   measures.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const PointRef p = data.at(i);
-    for (unsigned j = 0; j < d; ++j) cols[j].push_back(p.coords[j]);
+    for (unsigned j = 0; j < d; ++j)
+      cols[j].push_back(static_cast<std::uint32_t>(p.coords[j]));
     measures.push_back(p.measure);
   }
 
@@ -69,9 +71,11 @@ int main() {
     }
   });
 
-  // The SoA scan with a given column pass: scanColumns' loop, spelled out
-  // so the scalar pass can be timed on a host that dispatches to AVX-512.
-  auto soaScan = [&](detail::ColumnPass pass, std::vector<Aggregate>& aggs) {
+  // The SoA scan with a given column pass and aggregate: scanColumns'
+  // loop, spelled out so the scalar paths can be timed on a host that
+  // dispatches to AVX-512.
+  auto soaScan = [&](detail::ColumnPass pass, detail::AggregatePass agg,
+                     std::vector<Aggregate>& aggs) {
     aggs.assign(qs.size(), Aggregate{});
     return timeIt([&] {
       for (unsigned r = 0; r < reps; ++r) {
@@ -86,8 +90,7 @@ int main() {
               alive = pass(cols[fq.dimAt(k)].data() + at, len, fq.lo(k),
                            fq.width(k), sel.data());
             if (alive)
-              a.merge(selectedAggregate(measures.data() + at, sel.data(),
-                                        len));
+              a.merge(agg(measures.data() + at, sel.data(), len));
           }
           aggs[qi] = a;
         }
@@ -95,8 +98,9 @@ int main() {
     });
   };
   std::vector<Aggregate> soaAgg, scalarAgg;
-  const double soaSec = soaScan(selectInterval, soaAgg);
-  const double scalarSec = soaScan(detail::selectIntervalScalar, scalarAgg);
+  const double soaSec = soaScan(selectInterval, selectedAggregate, soaAgg);
+  const double scalarSec = soaScan(detail::selectIntervalScalar,
+                                   detail::selectedAggregateScalar, scalarAgg);
 
   // Differential check: every scan must agree exactly on count/min/max and
   // to fp-reassociation tolerance on sum.
@@ -125,10 +129,10 @@ int main() {
   std::printf("%-32s %10.1f Mpoints/s\n", "per-point contains (seed)",
               baseRate);
   std::printf("%-32s %10.1f Mpoints/s  (%.2fx)\n",
-              avx512 ? "SoA scan, AVX-512 pass" : "SoA scan, scalar pass",
+              avx512 ? "SoA scan, AVX-512 paths" : "SoA scan, scalar paths",
               soaRate, speedup);
   std::printf("%-32s %10.1f Mpoints/s  (%.2fx)\n",
-              "SoA scan, scalar pass forced", scalarRate, scalarSpeedup);
+              "SoA scan, scalar paths forced", scalarRate, scalarSpeedup);
 
   BenchJson json("leaf_scan");
   json.metric("ops_per_sec", soaRate * 1e6);  // points scanned per second

@@ -69,9 +69,10 @@ for f in "$BENCH_DIR"/BENCH_*.json; do
 done
 
 # Stats-plane guard: run a short mixed workload, scrape every node over
-# kStats, and fail on schema drift (required metric names missing) or a
-# dead freshness-lag histogram (count==0 or p99==0). cluster_stats exits
-# nonzero on any of those, so this leg is just "run it".
+# kStats, and fail on schema drift (required metric names missing), a
+# dead freshness-lag histogram (count==0 or p99==0) or an empty query
+# trace histogram (trace.query.total_ns count==0) on any server.
+# cluster_stats exits nonzero on any of those, so this leg is just "run it".
 echo "==== [release] stats plane ===="
 cmake --build build-release -j "$JOBS" --target cluster_stats
 ./build-release/examples/cluster_stats 5000 >/dev/null

@@ -8,8 +8,10 @@
 //
 // Exit status is the contract the CI stats leg enforces: nonzero if any
 // node fails to answer kStats, any required metric name is missing from a
-// scrape (schema drift), or the freshness-lag histogram stayed empty /
-// zero at p99 (tracing plumbing broke).
+// scrape (schema drift), or, on any server, the freshness-lag histogram
+// stayed empty / zero at p99 or the query trace histogram
+// (trace.query.total_ns) stayed empty (tracing plumbing broke, or trace
+// sampling aliased with the op pattern and skipped every query).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,7 +43,9 @@ int main(int argc, char** argv) {
   VolapCluster cluster(schema, opts);
 
   // Mixed workload: pipelined inserts with aggregate queries riding along,
-  // one client per server so every server's stage histograms fill up.
+  // one client per server so every server's stage histograms fill up. Each
+  // client issues one query per 25 inserts (26 ops), a period that a trace
+  // sampler shared across op types would never land a query on.
   std::vector<std::unique_ptr<Client>> clients;
   for (unsigned s = 0; s < cluster.serverCount(); ++s)
     clients.push_back(
@@ -53,7 +57,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < n; ++i) {
     Client& c = *clients[i % clients.size()];
     c.insertAsync(gen.next());
-    if (i % 50 == 49) {
+    if (i % 50 >= 48) {
       c.queryAsync(qgen.random(sample));
       ++queries;
     }
@@ -106,10 +110,19 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Liveness guard: on servers, freshness lag must have real samples —
-    // an empty or all-zero histogram means the trace plumbing broke even
-    // though the name survived.
+    // Liveness guard: on servers, freshness lag and query traces must have
+    // real samples — an empty or all-zero histogram means the trace
+    // plumbing (or its sampling) broke even though the name survived.
     if (r.node.rfind("server/", 0) == 0) {
+      const HistogramStats* queryTotal =
+          r.snapshot.findHistogram("trace.query.total_ns");
+      if (queryTotal == nullptr || queryTotal->count == 0) {
+        std::fprintf(stderr,
+                     "FAIL: %s query trace histogram trace.query.total_ns "
+                     "empty\n",
+                     r.node.c_str());
+        ++failures;
+      }
       const HistogramStats* lag =
           r.snapshot.findHistogram("ingest.freshness_lag_ns");
       if (lag == nullptr || lag->count == 0 || lag->p99 == 0) {

@@ -23,8 +23,13 @@ std::uint64_t Client::submit(Op op, Blob payload) {
   const std::uint64_t t0 = nowNanos();
   const SharedBlob shared(std::move(payload));
   Message msg = makeMessage(op, corr, inbox_->name(), shared);
-  if (traceEveryN_ != 0 && (op == Op::kInsert || op == Op::kQuery) &&
-      sampleTick_++ % traceEveryN_ == 0) {
+  // One sampling counter per op type: a shared one aliases with periodic
+  // op patterns (one query every N ops can land on untraced ticks only).
+  std::uint64_t* tick = op == Op::kInsert  ? &insertTick_
+                        : op == Op::kQuery ? &queryTick_
+                                           : nullptr;
+  if (traceEveryN_ != 0 && tick != nullptr &&
+      (*tick)++ % traceEveryN_ == 0) {
     msg.traceId = nextTraceId_++;
     msg.hop(TraceStage::kClientSend, t0);
     ++tracesStarted_;

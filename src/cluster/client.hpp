@@ -116,7 +116,8 @@ class Client {
   Rng rng_;
   std::uint64_t nextCorr_ = 1;
   unsigned traceEveryN_ = 0;
-  std::uint64_t sampleTick_ = 0;
+  std::uint64_t insertTick_ = 0;  // per-op-type trace sampling counters
+  std::uint64_t queryTick_ = 0;
   std::uint64_t nextTraceId_;  // seeded per client name, never 0
   std::uint64_t tracesStarted_ = 0;
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <tuple>
 
 #include "cluster/stats.hpp"
 #include "common/clock.hpp"
@@ -419,17 +420,29 @@ void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
                            const std::vector<ShardInfo>& shards,
                            const std::set<WorkerId>& avoid) {
   if (cfg_.replicationFactor < 2) return;
-  // Trusted workers (not dead, not suspect), lightest first, as
-  // recruitment candidates.
+  // Trusted workers (not dead, not suspect) as recruitment candidates.
   std::vector<WorkerId> live;
   for (const auto& [id, s] : workers)
     if (avoid.count(id) == 0) live.push_back(id);
-  std::sort(live.begin(), live.end(), [&](WorkerId a, WorkerId b) {
-    return workers.at(a).totalItems < workers.at(b).totalItems;
-  });
   if (live.size() < 2) return;  // nobody distinct to replicate onto
   const std::size_t want = std::min<std::size_t>(
       cfg_.replicationFactor - 1, live.size() - 1);
+  // Chain memberships (primary or replica) per worker: from the image, with
+  // a pending reconfig's chain standing in for its shard's image entry, and
+  // updated as this pass assigns chains. Recruiting the least-loaded
+  // worker spreads replicas, and with them replica-read scans, evenly; a
+  // one-off "lightest by items" order hands every chain of a pass to one
+  // worker (at boot all workers are equally empty).
+  std::map<WorkerId, std::size_t> members;
+  for (const ShardInfo& s : shards) {
+    const auto pend = pendingReconfig_.find(s.id);
+    if (pend != pendingReconfig_.end()) {
+      for (WorkerId w : pend->second) ++members[w];
+      continue;
+    }
+    ++members[s.worker];
+    for (WorkerId rep : s.replicas) ++members[rep];
+  }
   // Shards mid-split/migrate: their slot is busy and would NACK the
   // reconfig, which the NACK handler reads as "owner lost the slot" and
   // answers with a needless re-host. Wait the balancing op out instead.
@@ -464,17 +477,27 @@ void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
     if (keep.size() == want && !broken) continue;  // chain is healthy
     std::vector<WorkerId> chain{s.worker};
     for (WorkerId rep : keep) chain.push_back(rep);
-    for (WorkerId cand : live) {
-      if (chain.size() >= want + 1) break;
-      bool used = false;
-      for (WorkerId c : chain) used |= c == cand;
-      if (!used) chain.push_back(cand);  // distinct-worker placement
+    while (chain.size() < want + 1) {
+      // Fewest memberships first; ties go to the lighter worker by items,
+      // then the lower id. Distinct-worker placement.
+      WorkerId best = kNoWorker;
+      for (WorkerId cand : live) {
+        if (std::find(chain.begin(), chain.end(), cand) != chain.end())
+          continue;
+        if (best == kNoWorker ||
+            std::tuple(members[cand], workers.at(cand).totalItems, cand) <
+                std::tuple(members[best], workers.at(best).totalItems, best))
+          best = cand;
+      }
+      if (best == kNoWorker) break;
+      chain.push_back(best);
+      ++members[best];
     }
     if (chain.size() < 2) continue;  // cannot improve right now
     const std::uint64_t corr = nextCorr_++;
     pendingOps_[corr] = {PendingOp::Kind::kReconfig,
                          nowNanos() + cfg_.opLeaseNanos, s.id};
-    pendingReconfig_.insert(s.id);
+    pendingReconfig_[s.id] = chain;
     if (!fabric_.send(workerEndpoint(s.worker),
                       makeMessage(Op::kReplReconfig, corr,
                                   managerEndpoint(),

@@ -196,8 +196,9 @@ class Manager {
   /// Shards with an outstanding kRecoverShard or kReplPromote, mapped to
   /// the dead worker they are being moved off (serve thread only).
   std::map<ShardId, WorkerId> pendingRecover_;
-  /// Shards with an outstanding kReplReconfig (serve thread only).
-  std::set<ShardId> pendingReconfig_;
+  /// Shards with an outstanding kReplReconfig, mapped to the chain it
+  /// installs (serve thread only).
+  std::map<ShardId, std::vector<WorkerId>> pendingReconfig_;
   /// Orphan suspects: the image maps them to a worker that reported (or
   /// timed out suggesting) it no longer hosts them — a fencing race, e.g.
   /// a spuriously-dead-declared owner shedding its fenced slot, or a

@@ -6,14 +6,16 @@
 // contiguous lo[]/width[] arrays holding only the *constrained* dimensions,
 // ordered most-selective-first, so a columnar leaf scan is a sequence of
 // fused interval tests ((c - lo) <= width, one unsigned compare per point
-// per dimension). Each column pass ANDs its compare bits into a bit-packed
-// selection vector (one uint64_t word per 64 items); the kernels live in
-// flat_query.cpp.
+// per dimension) over 32-bit columns. Each column pass ANDs its compare
+// bits into a bit-packed selection vector (one uint64_t word per 64 items);
+// the kernels live in flat_query.cpp. The same constrained-dimension list
+// drives the directory key tests (ShardTree::queryTree).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "olap/aggregate.hpp"
@@ -28,23 +30,33 @@ class FlatQuery {
   FlatQuery(const Schema& schema, const QueryBox& q) {
     struct Ent {
       unsigned dim;
-      std::uint64_t lo;
-      std::uint64_t width;
+      std::uint32_t lo;
+      std::uint32_t width;
       double frac;  // covered fraction of the dimension (selectivity prior)
     };
     std::vector<Ent> ents;
     ents.reserve(q.dims());
     for (unsigned j = 0; j < q.dims(); ++j) {
       const HierInterval& iv = q.dim(j);
-      const std::uint64_t extent = schema.dim(j).extent();
-      if (iv.lo == 0 && iv.hi >= extent - 1) continue;  // unconstrained
-      ents.push_back({j, iv.lo, iv.hi - iv.lo,
-                      static_cast<double>(iv.length()) /
-                          static_cast<double>(extent)});
+      // Clamp to the domain [0, extent - 1] (extent <= 2^32, Hierarchy's
+      // width limit) before narrowing, so a box from the wire cannot wrap
+      // a 32-bit lo or width. An interval left empty selects nothing.
+      const std::uint64_t top = schema.dim(j).extent() - 1;
+      const std::uint64_t hi = std::min(iv.hi, top);
+      if (iv.lo > hi) {
+        empty_ = true;
+        continue;
+      }
+      if (iv.lo == 0 && hi == top) continue;  // unconstrained
+      ents.push_back({j, static_cast<std::uint32_t>(iv.lo),
+                      static_cast<std::uint32_t>(hi - iv.lo),
+                      static_cast<double>(hi - iv.lo + 1) /
+                          static_cast<double>(top + 1)});
     }
     // Most selective dimension first: the narrowest interval zeroes the
     // most selection words early, making later column passes cheap and
-    // letting callers early-out on an all-zero selection.
+    // letting callers early-out on an all-zero selection. The directory
+    // key tests visit the dimensions in the same order.
     std::sort(ents.begin(), ents.end(),
               [](const Ent& a, const Ent& b) { return a.frac < b.frac; });
     dims_.reserve(ents.size());
@@ -57,19 +69,24 @@ class FlatQuery {
     }
   }
 
+  /// True when some interval of the box misses the domain entirely (or is
+  /// inverted): the query selects nothing.
+  bool empty() const { return empty_; }
   /// Number of constrained dimensions (the only ones a scan must test).
   unsigned constrained() const {
     return static_cast<unsigned>(dims_.size());
   }
+  /// Original dimension indices of the constraints, most selective first.
+  std::span<const unsigned> dims() const { return dims_; }
   /// Original dimension index of the k-th most selective constraint.
   unsigned dimAt(unsigned k) const { return dims_[k]; }
-  std::uint64_t lo(unsigned k) const { return lo_[k]; }
-  std::uint64_t width(unsigned k) const { return width_[k]; }
+  std::uint32_t lo(unsigned k) const { return lo_[k]; }
+  std::uint32_t width(unsigned k) const { return width_[k]; }
 
   /// Point-at-a-time test over the constrained dimensions only; the fused
   /// unsigned compare makes each test a single branchless predicate.
   bool contains(PointRef p) const {
-    unsigned ok = 1;
+    unsigned ok = empty_ ? 0 : 1;
     for (unsigned k = 0; k < constrained(); ++k)
       ok &= static_cast<unsigned>((p.coords[dims_[k]] - lo_[k]) <= width_[k]);
     return ok != 0;
@@ -77,8 +94,9 @@ class FlatQuery {
 
  private:
   std::vector<unsigned> dims_;
-  std::vector<std::uint64_t> lo_;
-  std::vector<std::uint64_t> width_;
+  std::vector<std::uint32_t> lo_;
+  std::vector<std::uint32_t> width_;
+  bool empty_ = false;
 };
 
 /// Words in the selection vector of an n-item block: bit i%64 of word i/64
@@ -90,33 +108,45 @@ constexpr std::size_t selectionWords(std::size_t n) { return (n + 63) / 64; }
 void selectAll(std::uint64_t* sel, std::size_t n);
 
 /// One column pass: clear bit i of `sel` unless (col[i] - lo) <= width,
-/// i.e. col[i] lies in [lo, lo + width]. Words that are already zero are
-/// skipped. Returns false when no bit survived, so callers can stop
-/// scanning the remaining (less selective) columns of a dead block. Runs
-/// the AVX-512 compare on hosts that have it, else the portable path; the
-/// choice is made once per process.
-bool selectInterval(const std::uint64_t* col, std::size_t n, std::uint64_t lo,
-                    std::uint64_t width, std::uint64_t* sel);
+/// i.e. col[i] lies in [lo, lo + width] (32-bit arithmetic: leaf columns
+/// hold 32-bit coordinates). Words that are already zero are skipped.
+/// Returns false when no bit survived, so callers can stop scanning the
+/// remaining (less selective) columns of a dead block. Runs the AVX-512
+/// compare on hosts that have it, else the portable path; the choice is
+/// made once per process.
+bool selectInterval(const std::uint32_t* col, std::size_t n, std::uint32_t lo,
+                    std::uint32_t width, std::uint64_t* sel);
 
-/// Aggregate the measures whose selection bit is set. All-ones words take a
-/// dense multi-accumulator path; other words walk their set bits.
+/// Aggregate the measures whose selection bit is set. Runs the AVX-512
+/// masked-vector path on hosts that have it, else the portable word walk;
+/// the choice is made once per process.
 Aggregate selectedAggregate(const double* measures, const std::uint64_t* sel,
                             std::size_t n);
 
 namespace detail {
 /// Signature shared by every column pass.
-using ColumnPass = bool (*)(const std::uint64_t*, std::size_t, std::uint64_t,
-                            std::uint64_t, std::uint64_t*);
-/// True when the CPU supports the AVX-512 column pass.
+using ColumnPass = bool (*)(const std::uint32_t*, std::size_t, std::uint32_t,
+                            std::uint32_t, std::uint64_t*);
+/// Signature shared by every aggregate path.
+using AggregatePass = Aggregate (*)(const double*, const std::uint64_t*,
+                                    std::size_t);
+/// True when the CPU supports the AVX-512 paths.
 bool haveAvx512();
-/// The two implementations selectInterval dispatches between. Same
-/// contract; selectIntervalAvx512 may only be called when haveAvx512().
-bool selectIntervalScalar(const std::uint64_t* col, std::size_t n,
-                          std::uint64_t lo, std::uint64_t width,
+/// The two column passes selectInterval dispatches between. Same contract;
+/// selectIntervalAvx512 may only be called when haveAvx512().
+bool selectIntervalScalar(const std::uint32_t* col, std::size_t n,
+                          std::uint32_t lo, std::uint32_t width,
                           std::uint64_t* sel);
-bool selectIntervalAvx512(const std::uint64_t* col, std::size_t n,
-                          std::uint64_t lo, std::uint64_t width,
+bool selectIntervalAvx512(const std::uint32_t* col, std::size_t n,
+                          std::uint32_t lo, std::uint32_t width,
                           std::uint64_t* sel);
+/// The two aggregate paths selectedAggregate dispatches between. Same
+/// contract (sums may differ in rounding only); selectedAggregateAvx512 may
+/// only be called when haveAvx512().
+Aggregate selectedAggregateScalar(const double* measures,
+                                  const std::uint64_t* sel, std::size_t n);
+Aggregate selectedAggregateAvx512(const double* measures,
+                                  const std::uint64_t* sel, std::size_t n);
 }  // namespace detail
 
 /// Full scan of one columnar block: `colAt(j)` returns dimension j's
@@ -126,7 +156,7 @@ template <typename ColAt>
 inline void scanColumns(const FlatQuery& fq, ColAt colAt,
                         const double* measures, std::size_t n,
                         std::uint64_t* sel, Aggregate& out) {
-  if (n == 0) return;
+  if (n == 0 || fq.empty()) return;
   selectAll(sel, n);
   for (unsigned k = 0; k < fq.constrained(); ++k)
     if (!selectInterval(colAt(fq.dimAt(k)), n, fq.lo(k), fq.width(k), sel))

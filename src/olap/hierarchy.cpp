@@ -17,7 +17,9 @@ Hierarchy::Hierarchy(std::string name, std::vector<LevelSpec> levels)
     leafBits_ += bits_.back();
     leafCount_ *= l.fanout;
   }
-  if (leafBits_ > 62)
+  // Leaf ordinals must fit the 32-bit leaf columns of the shard trees
+  // (tree/shard_tree.hpp), so a dimension has at most 2^32 leaf slots.
+  if (leafBits_ > 32)
     throw std::invalid_argument("hierarchy too wide: " + name_);
   // shift_[l-1] = bits below level l.
   shift_.assign(levels_.size(), 0);

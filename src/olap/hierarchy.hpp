@@ -2,7 +2,9 @@
 // a per-parent fanout, e.g. Date = Year(16) -> Month(12) -> Day(31). A full
 // path to the deepest level identifies one leaf value; its bit-packed
 // encoding is the item's coordinate in that dimension. A partial path (a
-// value at some level) covers an aligned interval of leaf ordinals.
+// value at some level) covers an aligned interval of leaf ordinals. The
+// leaf encoding is at most 32 bits wide (the constructor throws on a wider
+// spec), so every coordinate fits a shard tree's 32-bit leaf columns.
 #pragma once
 
 #include <cstdint>

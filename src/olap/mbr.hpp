@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "olap/point.hpp"
@@ -77,17 +78,30 @@ class MbrKey {
     return true;
   }
 
-  bool intersects(const QueryBox& q) const {
-    if (dims_.empty()) return false;
-    for (unsigned j = 0; j < dims(); ++j)
+  /// Box tests against `q` on the listed dimensions only (a range of
+  /// dimension indices, e.g. FlatQuery::dims()). Leaving out a dimension
+  /// that `q` does not constrain is exact: a valid key always intersects,
+  /// and lies inside, a dimension's full extent.
+  template <typename Dims>
+  bool intersects(const QueryBox& q, const Dims& dims) const {
+    if (dims_.empty()) return false;  // an empty key covers nothing
+    for (const unsigned j : dims)
       if (!dims_[j].intersects(q.dim(j).asInterval())) return false;
     return true;
   }
-
-  bool containedIn(const QueryBox& q) const {
-    for (unsigned j = 0; j < dims(); ++j)
+  template <typename Dims>
+  bool containedIn(const QueryBox& q, const Dims& dims) const {
+    if (dims_.empty()) return true;  // nothing to place outside q
+    for (const unsigned j : dims)
       if (!q.dim(j).asInterval().contains(dims_[j])) return false;
     return true;
+  }
+  /// Whole-box forms: every dimension.
+  bool intersects(const QueryBox& q) const {
+    return intersects(q, std::views::iota(0u, dims()));
+  }
+  bool containedIn(const QueryBox& q) const {
+    return containedIn(q, std::views::iota(0u, dims()));
   }
 
   /// Normalized overlap volume with `o` in [0,1].

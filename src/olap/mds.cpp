@@ -151,34 +151,6 @@ bool MdsKey::contains(PointRef p) const {
   return true;
 }
 
-bool MdsKey::intersects(const QueryBox& q) const {
-  if (counts_.empty()) return false;
-  for (unsigned j = 0; j < dims(); ++j) {
-    const Interval qi = q.dim(j).asInterval();
-    const HierInterval* s = slots(j);
-    const unsigned n = counts_[j];
-    bool any = false;
-    for (unsigned i = 0; i < n; ++i) {
-      if (s[i].intersects(qi)) {
-        any = true;
-        break;
-      }
-      if (s[i].lo > qi.hi) break;  // sorted: nothing further can intersect
-    }
-    if (!any) return false;
-  }
-  return true;
-}
-
-bool MdsKey::containedIn(const QueryBox& q) const {
-  for (unsigned j = 0; j < dims(); ++j) {
-    const Interval qi = q.dim(j).asInterval();
-    for (const auto& e : dim(j))
-      if (!qi.contains(e.asInterval())) return false;
-  }
-  return true;
-}
-
 double MdsKey::overlap(const Schema& schema, const MdsKey& o) const {
   if (counts_.empty() || o.counts_.empty()) return 0;
   double v = 1.0;

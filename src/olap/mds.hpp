@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -46,8 +47,22 @@ class MdsKey {
   bool merge(const Schema& schema, const MdsKey& o);
 
   bool contains(PointRef p) const;
-  bool intersects(const QueryBox& q) const;
-  bool containedIn(const QueryBox& q) const;
+
+  /// Box tests against `q` on the listed dimensions only (a range of
+  /// dimension indices, e.g. FlatQuery::dims()). Leaving out a dimension
+  /// that `q` does not constrain is exact: a valid key always intersects,
+  /// and lies inside, a dimension's full extent.
+  template <typename Dims>
+  bool intersects(const QueryBox& q, const Dims& dims) const;
+  template <typename Dims>
+  bool containedIn(const QueryBox& q, const Dims& dims) const;
+  /// Whole-box forms: every dimension.
+  bool intersects(const QueryBox& q) const {
+    return intersects(q, std::views::iota(0u, dims()));
+  }
+  bool containedIn(const QueryBox& q) const {
+    return containedIn(q, std::views::iota(0u, dims()));
+  }
 
   /// Normalized overlap volume with `o` in [0,1].
   double overlap(const Schema& schema, const MdsKey& o) const;
@@ -88,5 +103,36 @@ class MdsKey {
   std::vector<HierInterval> entries_;
   std::vector<std::uint8_t> counts_;
 };
+
+template <typename Dims>
+bool MdsKey::intersects(const QueryBox& q, const Dims& dims) const {
+  if (counts_.empty()) return false;  // an empty key covers nothing
+  for (const unsigned j : dims) {
+    const HierInterval& qi = q.dim(j);
+    const HierInterval* s = slots(j);
+    const unsigned n = counts_[j];
+    bool any = false;
+    // Sorted by lo: past qi.hi nothing further can intersect.
+    for (unsigned i = 0; i < n && s[i].lo <= qi.hi; ++i) {
+      if (s[i].hi >= qi.lo) {
+        any = true;
+        break;
+      }
+    }
+    if (!any) return false;
+  }
+  return true;
+}
+
+template <typename Dims>
+bool MdsKey::containedIn(const QueryBox& q, const Dims& dims) const {
+  if (counts_.empty()) return true;  // nothing to place outside q
+  for (const unsigned j : dims) {
+    const HierInterval& qi = q.dim(j);
+    for (const HierInterval& e : dim(j))
+      if (e.lo < qi.lo || e.hi > qi.hi) return false;
+  }
+  return true;
+}
 
 }  // namespace volap

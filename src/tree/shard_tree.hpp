@@ -15,12 +15,12 @@
 //  * Queries use cached aggregates whenever a child's key is fully inside
 //    the query box, so high-coverage aggregations never reach the leaves
 //    (Fig. 4 / Fig. 9a).
-//  * Leaves are columnar (one contiguous value column per dimension plus a
-//    measure column), so the residual leaf scan is a fused interval test
-//    per constrained dimension into a bit-packed selection (see
-//    olap/flat_query.hpp) instead of a per-point short-circuit loop, and
-//    the descent itself is an explicit-stack traversal rather than
-//    recursion.
+//  * Leaves are columnar (one contiguous 32-bit value column per dimension
+//    plus a measure column), so the residual leaf scan is a fused interval
+//    test per constrained dimension into a bit-packed selection (see
+//    olap/flat_query.hpp) instead of a per-point short-circuit loop. The
+//    descent is an explicit-stack traversal whose child key tests visit
+//    only the query's constrained dimensions.
 #pragma once
 
 #include <atomic>
@@ -29,6 +29,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/rwspin.hpp"
@@ -121,6 +122,7 @@ class ShardTree final : public Shard {
   Aggregate query(const QueryBox& q) const override {
     const FlatQuery fq(schema_, q);
     Aggregate out;
+    if (fq.empty()) return out;
     Node* n = lockRootShared();
     queryTree(n, q, fq, out);  // unlocks every node it visits
     return out;
@@ -168,8 +170,9 @@ class ShardTree final : public Shard {
   }
 
   std::size_t memoryUse() const override {
-    const std::size_t perItem =
-        schema_.dims() * 8 + 8 + (hilbert() ? sizeof(HilbertKey) : 0);
+    const std::size_t perItem = schema_.dims() * sizeof(std::uint32_t) +
+                                sizeof(double) +
+                                (hilbert() ? sizeof(HilbertKey) : 0);
     return size() * perItem +
            nodeCount_.load(std::memory_order_relaxed) * sizeof(Node);
   }
@@ -213,7 +216,9 @@ class ShardTree final : public Shard {
     // column per dimension (cols[j][i] = item i's coordinate in dimension
     // j) plus the measure column, so a query scans only the constrained
     // columns, each a vectorizable interval test over contiguous memory.
-    std::vector<std::vector<std::uint64_t>> cols;  // [dims][count]
+    // Coordinates are 32-bit: Hierarchy caps a dimension at 32 bits and
+    // workers reject items outside the domain before they reach a tree.
+    std::vector<std::vector<std::uint32_t>> cols;  // [dims][count]
     std::vector<double> measures;
     std::vector<HilbertKey> hkeys;  // Hilbert variants only, sorted
   };
@@ -349,7 +354,7 @@ class ShardTree final : public Shard {
     }
     for (unsigned j = 0; j < d; ++j)
       n.cols[j].insert(n.cols[j].begin() + static_cast<std::ptrdiff_t>(pos),
-                       p.coords[j]);
+                       static_cast<std::uint32_t>(p.coords[j]));
     n.measures.insert(
         n.measures.begin() + static_cast<std::ptrdiff_t>(pos), p.measure);
   }
@@ -659,8 +664,11 @@ class ShardTree final : public Shard {
   /// Explicit-stack traversal; holds shared locks on the current
   /// root-to-node path exactly like the recursive descent it replaces, and
   /// still honors the cached-aggregate pruning: a child key containedIn
-  /// the query merges childAggs and never descends. Leaves scanned and
-  /// items tested are tallied locally and published once per query.
+  /// the query merges childAggs and never descends. The child key tests
+  /// visit only the constrained dimensions, most selective first (exact:
+  /// every key lies inside an unconstrained dimension's extent). Leaves
+  /// scanned and items tested are tallied locally and published once per
+  /// query.
   void queryTree(const Node* root, const QueryBox& q, const FlatQuery& fq,
                  Aggregate& out) const {
     struct Frame {
@@ -671,6 +679,7 @@ class ShardTree final : public Shard {
     stack.reserve(8);
     std::vector<std::uint64_t> sel(selectionWords(cfg_.leafCapacity));
     std::uint64_t leaves = 0, items = 0;
+    const std::span<const unsigned> dims = fq.dims();
     stack.push_back({root, 0});
     while (!stack.empty()) {
       Frame& f = stack.back();
@@ -688,8 +697,8 @@ class ShardTree final : public Shard {
         continue;
       }
       const std::size_t i = f.next++;
-      if (!n.childKeys[i].intersects(q)) continue;
-      if (n.childKeys[i].containedIn(q)) {
+      if (!n.childKeys[i].intersects(q, dims)) continue;
+      if (n.childKeys[i].containedIn(q, dims)) {
         out.merge(n.childAggs[i]);  // cached aggregate: no descent
         continue;
       }
@@ -740,7 +749,8 @@ class ShardTree final : public Shard {
       leaf->hkeys.reserve(end - start);
       for (std::size_t i = start; i < end; ++i) {
         const PointRef p = items.at(order[i]);
-        for (unsigned j = 0; j < d; ++j) leaf->cols[j].push_back(p.coords[j]);
+        for (unsigned j = 0; j < d; ++j)
+          leaf->cols[j].push_back(static_cast<std::uint32_t>(p.coords[j]));
         leaf->measures.push_back(p.measure);
         leaf->hkeys.push_back(keys[order[i]]);
       }

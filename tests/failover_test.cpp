@@ -93,6 +93,31 @@ bool allChained(VolapCluster& cluster, std::size_t expectShards) {
   return true;
 }
 
+TEST(ChainRecruitment, SpreadsReplicasAcrossWorkers) {
+  // 4 workers x 2 shards at R = 2: 8 replicas. Recruiting by chain
+  // memberships gives each worker about 8 / 4 of them; recruiting every
+  // chain of a supervision pass onto the worker that was lightest when
+  // the pass began piles most of them onto one worker.
+  const Schema schema = Schema::tpcds();
+  VolapCluster cluster(schema, failoverOptions());
+  ASSERT_TRUE(eventually([&] { return allChained(cluster, 8); }, 10000ms));
+  auto replicas = [&] {
+    std::vector<std::size_t> out;
+    for (unsigned w = 0; w < cluster.workerCount(); ++w)
+      out.push_back(cluster.worker(w).replicaShardCount());
+    return out;
+  };
+  ASSERT_TRUE(eventually([&] {
+    std::size_t total = 0;
+    for (std::size_t n : replicas()) total += n;
+    return total == 8;
+  }));
+  const std::vector<std::size_t> got = replicas();
+  for (unsigned w = 0; w < got.size(); ++w)
+    EXPECT_LE(got[w], 8u / 4u + 1u) << "worker " << w << " holds "
+                                    << got[w] << " replicas";
+}
+
 TEST(Failover, PrimaryKillUnderMessageLossLosesNoAckedInsert) {
   const Schema schema = Schema::tpcds();
   VolapCluster cluster(schema, failoverOptions());

@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "olap/data_gen.hpp"
+#include "olap/flat_query.hpp"
 #include "olap/mbr.hpp"
 #include "olap/mds.hpp"
 #include "olap/query_gen.hpp"
@@ -147,6 +148,40 @@ TEST(Mds, QueryRelationsMatchBruteForce) {
     if (k.containedIn(q)) {
       for (auto i : idx) EXPECT_TRUE(q.contains(data.at(i)));
     }
+  }
+}
+
+TEST(Mds, ConstrainedDimensionTestsMatchWholeBox) {
+  // The tree's child tests visit only FlatQuery's constrained dimensions;
+  // over random keys and boxes they must agree with the whole-box tests.
+  const Schema s = Schema::tpcds();
+  Rng rng(123);
+  DataGenerator gen(s, 8);
+  QueryGenerator qgen(s, 9);
+  const PointSet data = gen.generate(500);
+  std::vector<QueryBox> boxes{QueryBox(s)};  // constrains no dimension
+  for (int i = 0; i < 300; ++i) boxes.push_back(qgen.random(data));
+  for (int i = 0; i < 50; ++i) boxes.push_back(qgen.nearMiss(data));
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(trial % 3 == 0 ? 200 : 8);
+    MdsKey k = MdsKey::forPoint(s, data.at(rng.below(data.size())));
+    for (std::size_t i = 1; i < n; ++i)
+      k.expand(s, data.at(rng.below(data.size())));
+    for (int b = 0; b < 20; ++b) {
+      const QueryBox& q = boxes[rng.below(boxes.size())];
+      const FlatQuery fq(s, q);
+      EXPECT_EQ(k.intersects(q, fq.dims()), k.intersects(q))
+          << q.describe(s);
+      EXPECT_EQ(k.containedIn(q, fq.dims()), k.containedIn(q))
+          << q.describe(s);
+    }
+  }
+  // An empty key covers nothing under either form.
+  const MdsKey empty;
+  for (const QueryBox& q : {boxes[0], boxes[1]}) {
+    const FlatQuery fq(s, q);
+    EXPECT_FALSE(empty.intersects(q, fq.dims()));
+    EXPECT_EQ(empty.containedIn(q, fq.dims()), empty.containedIn(q));
   }
 }
 

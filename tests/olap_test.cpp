@@ -5,10 +5,13 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "olap/data_gen.hpp"
+#include "olap/flat_query.hpp"
 #include "olap/hierarchy.hpp"
 #include "olap/mbr.hpp"
 #include "olap/query_box.hpp"
+#include "olap/query_gen.hpp"
 #include "olap/schema.hpp"
 
 namespace volap {
@@ -93,6 +96,13 @@ TEST(Hierarchy, RejectsInvalidSpecs) {
   EXPECT_THROW(
       Hierarchy("wide", {{"L1", 1ull << 40}, {"L2", 1ull << 40}}),
       std::invalid_argument);
+  // Leaf ordinals must fit the trees' 32-bit leaf columns: 33 bits is one
+  // too many, 32 is the widest accepted.
+  EXPECT_THROW(Hierarchy("33bit", {{"Hi", 1ull << 16}, {"Lo", 1ull << 17}}),
+               std::invalid_argument);
+  const Hierarchy widest("32bit", {{"Hi", 1ull << 16}, {"Lo", 1ull << 16}});
+  EXPECT_EQ(widest.leafBits(), 32u);
+  EXPECT_EQ(widest.extent(), 1ull << 32);
 }
 
 TEST(Schema, TpcdsShape) {
@@ -267,6 +277,38 @@ TEST(Mbr, QueryRelations) {
   QueryBox off(s);
   off.constrainAncestor(s, 0, 12, 1);  // dim0 subtree [12,15]
   EXPECT_FALSE(k.intersects(off));
+}
+
+TEST(Mbr, ConstrainedDimensionTestsMatchWholeBox) {
+  // The tree's child tests visit only FlatQuery's constrained dimensions;
+  // over random keys and boxes they must agree with the whole-box tests.
+  const Schema s = Schema::tpcds();
+  Rng rng(321);
+  DataGenerator gen(s, 10);
+  QueryGenerator qgen(s, 11);
+  const PointSet data = gen.generate(500);
+  std::vector<QueryBox> boxes{QueryBox(s)};  // constrains no dimension
+  for (int i = 0; i < 300; ++i) boxes.push_back(qgen.random(data));
+  for (int i = 0; i < 50; ++i) boxes.push_back(qgen.nearMiss(data));
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(trial % 3 == 0 ? 200 : 8);
+    MbrKey k = MbrKey::forPoint(s, data.at(rng.below(data.size())));
+    for (std::size_t i = 1; i < n; ++i)
+      k.expand(s, data.at(rng.below(data.size())));
+    for (int b = 0; b < 20; ++b) {
+      const QueryBox& q = boxes[rng.below(boxes.size())];
+      const FlatQuery fq(s, q);
+      EXPECT_EQ(k.intersects(q, fq.dims()), k.intersects(q))
+          << q.describe(s);
+      EXPECT_EQ(k.containedIn(q, fq.dims()), k.containedIn(q))
+          << q.describe(s);
+    }
+  }
+  const MbrKey empty;
+  const FlatQuery all(s, boxes[0]);
+  EXPECT_FALSE(empty.intersects(boxes[0], all.dims()));
+  EXPECT_EQ(empty.containedIn(boxes[0], all.dims()),
+            empty.containedIn(boxes[0]));
 }
 
 TEST(Mbr, SerializeRoundTrip) {

@@ -5,11 +5,14 @@
 // Deserialize) are exercised end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "olap/data_gen.hpp"
 #include "olap/mbr.hpp"
 #include "olap/query_gen.hpp"
@@ -277,6 +280,68 @@ TEST(ShardTree, EmptyTreeQueriesReturnNothing) {
     const Aggregate a = shard->query(QueryBox(schema));
     EXPECT_EQ(a.count, 0u);
     EXPECT_TRUE(a.empty());
+  }
+}
+
+TEST(ShardTree, ThirtyTwoBitHierarchyRoundTrips) {
+  // A dimension 32 bits wide (Hierarchy's limit): leaf ordinals up to
+  // 2^32 - 1 must fill the 32-bit leaf columns without loss, through
+  // point inserts, batch inserts, queries and collect.
+  const Schema schema(
+      {Hierarchy("Wide", {{"Hi", 1ull << 16}, {"Lo", 1ull << 16}}),
+       Hierarchy("Narrow", {{"A", 16}})});
+  constexpr std::uint64_t kTop = (1ull << 32) - 1;
+  Rng rng(777);
+  PointSet items(2);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t picks[] = {0, kTop, kTop - 1, 1ull << 31,
+                                   rng.below(kTop + 1),
+                                   kTop - rng.below(1 << 16)};
+    const std::vector<std::uint64_t> c{picks[rng.below(std::size(picks))],
+                                       rng.below(16)};
+    items.push({c, static_cast<double>(i % 97)});
+  }
+  PointSet first(2), rest(2);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    (i < 1000 ? first : rest).push(items.at(i));
+
+  for (ShardKind k : kAllTreeKinds) {
+    auto shard = makeShard(k, schema);
+    ArrayShard oracle(schema);
+    shard->bulkInsert(first);
+    oracle.bulkInsert(first);
+    for (std::size_t i = 0; i < rest.size(); ++i) {
+      shard->insert(rest.at(i));
+      oracle.insert(rest.at(i));
+    }
+    checkTreeInvariants(*shard);
+
+    PointSet back(2);
+    shard->collect(back);
+    ASSERT_EQ(back.size(), items.size()) << shardKindName(k);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> want, got;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      want.emplace_back(items.at(i).coords[0], items.at(i).coords[1]);
+      got.emplace_back(back.at(i).coords[0], back.at(i).coords[1]);
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << shardKindName(k);
+
+    // Boxes at the top of the wide dimension: its last level-1 subtree,
+    // the single top value, and the bottom value with a narrow constraint.
+    QueryBox top1(schema), topLeaf(schema), bottom(schema);
+    top1.constrainAncestor(schema, 0, kTop, 1);
+    topLeaf.constrainAncestor(schema, 0, kTop, 2);
+    bottom.constrainAncestor(schema, 0, 0, 2);
+    bottom.constrainAncestor(schema, 1, 3, 1);
+    for (const QueryBox& q : {QueryBox(schema), top1, topLeaf, bottom}) {
+      const Aggregate a = shard->query(q), b = oracle.query(q);
+      EXPECT_EQ(a.count, b.count) << shardKindName(k) << " "
+                                  << q.describe(schema);
+      EXPECT_NEAR(a.sum, b.sum, 1e-9 * (1 + std::abs(b.sum)));
+    }
+    EXPECT_GT(shard->query(topLeaf).count, 0u);
   }
 }
 
