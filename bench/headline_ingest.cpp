@@ -140,15 +140,11 @@ int main() {
         const Server::Stats st = cluster.server(s).stats();
         std::printf(
             "server %u: snapHit=%llu snapMiss=%llu coalBatches=%llu "
-            "coalItems=%llu size=%llu deadline=%llu eager=%llu throttled=%llu\n",
+            "coalItems=%llu\n",
             s, (unsigned long long)st.snapshotHits,
             (unsigned long long)st.snapshotMisses,
             (unsigned long long)st.coalescedBatches,
-            (unsigned long long)st.coalescedItems,
-            (unsigned long long)st.coalesceSizeFlushes,
-            (unsigned long long)st.coalesceDeadlineFlushes,
-            (unsigned long long)st.coalesceEagerFlushes,
-            (unsigned long long)st.lanesThrottled);
+            (unsigned long long)st.coalescedItems);
       }
     }
 

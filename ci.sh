@@ -70,8 +70,9 @@ done
 
 # Stats-plane guard: run a short mixed workload, scrape every node over
 # kStats, and fail on schema drift (required metric names missing), a
-# dead freshness-lag histogram (count==0 or p99==0) or an empty query
-# trace histogram (trace.query.total_ns count==0) on any server.
+# dead freshness-lag histogram (count==0 or p99==0) or an empty trace
+# stage histogram on any server (count==0 for trace.query.{total,scan}_ns
+# or trace.ingest.{total,route,lane_dwell,wal,apply}_ns).
 # cluster_stats exits nonzero on any of those, so this leg is just "run it".
 echo "==== [release] stats plane ===="
 cmake --build build-release -j "$JOBS" --target cluster_stats

@@ -9,9 +9,10 @@
 // Exit status is the contract the CI stats leg enforces: nonzero if any
 // node fails to answer kStats, any required metric name is missing from a
 // scrape (schema drift), or, on any server, the freshness-lag histogram
-// stayed empty / zero at p99 or the query trace histogram
-// (trace.query.total_ns) stayed empty (tracing plumbing broke, or trace
-// sampling aliased with the op pattern and skipped every query).
+// stayed empty / zero at p99 or a trace stage histogram the workload
+// exercises stayed empty: the query total or scan, or the ingest total,
+// route, lane dwell, WAL or apply stage (tracing plumbing broke, or trace
+// sampling aliased with the op pattern and skipped every op of a type).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -110,18 +111,22 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Liveness guard: on servers, freshness lag and query traces must have
-    // real samples — an empty or all-zero histogram means the trace
-    // plumbing (or its sampling) broke even though the name survived.
+    // Liveness guard: on servers, freshness lag and every trace stage the
+    // workload exercises must have real samples — an empty or all-zero
+    // histogram means the trace plumbing (or its sampling) broke even
+    // though the name survived.
     if (r.node.rfind("server/", 0) == 0) {
-      const HistogramStats* queryTotal =
-          r.snapshot.findHistogram("trace.query.total_ns");
-      if (queryTotal == nullptr || queryTotal->count == 0) {
-        std::fprintf(stderr,
-                     "FAIL: %s query trace histogram trace.query.total_ns "
-                     "empty\n",
-                     r.node.c_str());
-        ++failures;
+      for (const char* name :
+           {"trace.query.total_ns", "trace.query.scan_ns",
+            "trace.ingest.total_ns", "trace.ingest.route_ns",
+            "trace.ingest.lane_dwell_ns", "trace.ingest.wal_ns",
+            "trace.ingest.apply_ns"}) {
+        const HistogramStats* h = r.snapshot.findHistogram(name);
+        if (h == nullptr || h->count == 0) {
+          std::fprintf(stderr, "FAIL: %s trace histogram %s empty\n",
+                       r.node.c_str(), name);
+          ++failures;
+        }
       }
       const HistogramStats* lag =
           r.snapshot.findHistogram("ingest.freshness_lag_ns");

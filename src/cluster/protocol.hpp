@@ -3,6 +3,7 @@
 // they never collide with keeper traffic sharing the same fabric.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -71,7 +72,7 @@ inline void writePoint(ByteWriter& w, PointRef p) {
 inline Point readPoint(ByteReader& r) {
   Point p;
   const auto d = r.varint();
-  p.coords.reserve(d);
+  p.coords.reserve(std::min<std::uint64_t>(d, r.remaining()));  // untrusted
   for (std::uint64_t i = 0; i < d; ++i) p.coords.push_back(r.varint());
   p.measure = r.f64();
   return p;
@@ -93,7 +94,7 @@ struct WQuery {
     ByteReader r(b);
     WQuery m;
     const auto n = r.varint();
-    m.shards.reserve(n);
+    m.shards.reserve(std::min<std::uint64_t>(n, r.remaining()));  // untrusted
     for (std::uint64_t i = 0; i < n; ++i) m.shards.push_back(r.varint());
     m.box = QueryBox::deserialize(r);
     return m;
@@ -426,25 +427,20 @@ struct ShardBatch {
   }
 };
 
-/// kWBulkAck payload: items applied, a backpressure hint — the depth of the
-/// worker's inbox when the ack was built — and the fencing stamps of the
-/// batch. Servers use the hint to throttle coalesced-batch flushes toward
-/// an overloaded worker. `stamps` names every slot the batch was applied to
-/// and that slot's fencing epoch, so a server whose image already carries a
-/// newer epoch for one of them rejects a zombie owner's ack and keeps
-/// retrying toward the new owner. An ack with no stamps (unknown shard,
-/// nothing applied) is accepted as-is. Fields after `applied` are appended
-/// in order, so decode() accepts shorter payloads and readers that stop
-/// after the first varint keep working.
+/// kWBulkAck payload: items applied and the fencing stamps of the batch.
+/// `stamps` names every slot the batch was applied to and that slot's
+/// fencing epoch, so a server whose image already carries a newer epoch for
+/// one of them rejects a zombie owner's ack and keeps retrying toward the
+/// new owner. An ack with no stamps (unknown shard, nothing applied) is
+/// accepted as-is. The stamps follow `applied`, so decode() accepts a bare
+/// count and readers that stop after the first varint keep working.
 struct WBulkAck {
   std::uint64_t applied = 0;
-  std::uint64_t backlog = 0;
   std::vector<std::pair<ShardId, std::uint64_t>> stamps;  // (shard, epoch)
 
   Blob encode() const {
     ByteWriter w;
     w.varint(applied);
-    w.varint(backlog);
     w.varint(stamps.size());
     for (const auto& [shard, epoch] : stamps) {
       w.varint(shard);
@@ -456,7 +452,6 @@ struct WBulkAck {
     ByteReader r(b);
     WBulkAck m;
     m.applied = r.varint();
-    if (r.remaining() > 0) m.backlog = r.varint();
     if (r.remaining() > 0) {
       const auto n = r.varint();
       for (std::uint64_t i = 0; i < n; ++i) {

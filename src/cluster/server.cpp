@@ -1,6 +1,7 @@
 #include "cluster/server.hpp"
 
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "cluster/stats.hpp"
@@ -30,15 +31,11 @@ Server::Server(Fabric& fabric, const Schema& schema, ServerId id,
       repliesReplayed_(metrics_.counter("server.replies_replayed")),
       dupRequests_(metrics_.counter("server.dup_requests")),
       staleEpochAcks_(metrics_.counter("server.stale_epoch_acks")),
+      malformedRequests_(metrics_.counter("server.malformed_requests")),
       snapshotHits_(metrics_.counter("server.snapshot_hits")),
       snapshotMisses_(metrics_.counter("server.snapshot_misses")),
       coalescedBatches_(metrics_.counter("server.coalesce.batches")),
       coalescedItems_(metrics_.counter("server.coalesce.items")),
-      coalesceSizeFlushes_(metrics_.counter("server.coalesce.size_flushes")),
-      coalesceDeadlineFlushes_(
-          metrics_.counter("server.coalesce.deadline_flushes")),
-      coalesceEagerFlushes_(metrics_.counter("server.coalesce.eager_flushes")),
-      lanesThrottled_(metrics_.counter("server.coalesce.throttled")),
       ingestRouteNs_(metrics_.histogram("trace.ingest.route_ns")),
       ingestLaneDwellNs_(metrics_.histogram("trace.ingest.lane_dwell_ns")),
       ingestWalNs_(metrics_.histogram("trace.ingest.wal_ns")),
@@ -110,10 +107,6 @@ Server::Stats Server::stats() const {
   s.snapshotMisses = snapshotMisses_.value();
   s.coalescedBatches = coalescedBatches_.value();
   s.coalescedItems = coalescedItems_.value();
-  s.coalesceSizeFlushes = coalesceSizeFlushes_.value();
-  s.coalesceDeadlineFlushes = coalesceDeadlineFlushes_.value();
-  s.coalesceEagerFlushes = coalesceEagerFlushes_.value();
-  s.lanesThrottled = lanesThrottled_.value();
   {
     std::lock_guard lock(pendingMu_);
     s.pendingQueries = pendingQueries_.size();
@@ -145,9 +138,10 @@ void Server::serve() {
     // full retries_ scan under pendingMu_ per message.
     if (now >= nextRetryDueNanos_.load(std::memory_order_relaxed))
       sweepRetries();
-    std::uint64_t wake =
+    // Only keeper sync and retry deadlines need a timer. Lanes have none:
+    // an insert, an ack or a parked batch's release is what flushes one.
+    const std::uint64_t wake =
         std::min(nextSync, nextRetryDueNanos_.load(std::memory_order_relaxed));
-    wake = flushExpired(nowNanos(), wake);
     now = nowNanos();
     auto m = inbox_->recvFor(
         std::chrono::nanoseconds(wake > now ? wake - now : 1));
@@ -160,7 +154,7 @@ void Server::serve() {
     // ack) run inline on the event loop — a pool handoff costs more than
     // the handler itself and serializes on the same locks anyway. Only
     // kBulk goes to the pool: routing a multi-thousand-item chunk would
-    // stall the loop past the coalesce/retry deadlines.
+    // stall the loop, and with it every lane's ack-clocked flush.
     if (m->type == static_cast<std::uint16_t>(KeeperOp::kWatchEvent)) {
       handleWatchEvent(*m);
       continue;
@@ -316,6 +310,19 @@ void Server::handleWatchEvent(const Message& m) {
 
 // ---- client-request dedup ---------------------------------------------------
 
+template <typename T>
+std::optional<T> Server::readClientPayload(const Message& m,
+                                           T (*read)(ByteReader&)) {
+  try {
+    ByteReader r(m.payload);
+    T v = read(r);
+    if (v.dims() == schema_.dims()) return v;
+  } catch (const DeserializeError&) {
+  }
+  malformedRequests_.inc();
+  return std::nullopt;
+}
+
 bool Server::dedupClientRequest(const Message& m) {
   Op replayOp = Op::kInsertAck;
   Blob replayPayload;
@@ -361,7 +368,7 @@ void Server::sweepRetries() {
   std::vector<Resend> resend;
   std::vector<std::shared_ptr<PendingQuery>> doneQueries;
   std::vector<std::shared_ptr<PendingBulk>> doneBulks;
-  std::vector<ShardId> releasedLanes;  // parked batches free their window
+  std::vector<ShardId> releasedLanes;  // lanes whose batch was parked
   const std::uint64_t now = nowNanos();
   {
     std::lock_guard lock(pendingMu_);
@@ -460,14 +467,9 @@ void Server::sweepRetries() {
     }
     nextRetryDueNanos_.store(minDue, std::memory_order_relaxed);
   }
-  if (!releasedLanes.empty()) {
-    std::lock_guard lock(coalesceMu_);
-    for (ShardId s : releasedLanes) {
-      auto it = lanes_.find(s);
-      if (it != lanes_.end() && it->second.inFlight > 0)
-        --it->second.inFlight;
-    }
-  }
+  // No ack will come for a parked batch, so its release is what sends the
+  // items that buffered behind it.
+  for (ShardId s : releasedLanes) releaseLane(s);
   for (auto& r : resend)
     fabric_.send(r.dest, makeMessage(r.op, r.corr, serverEndpoint(id_),
                                      std::move(r.payload)));
@@ -530,10 +532,11 @@ bool Server::resumeDroppedBatch(const Message& m) {
 }
 
 void Server::handleInsert(const Message& m) {
+  const std::optional<Point> point = readClientPayload(m, &readPoint);
+  if (!point) return;
   if (dedupClientRequest(m)) return;
   if (resumeDroppedBatch(m)) return;
-  ByteReader r(m.payload);
-  const Point p = readPoint(r);
+  const Point& p = *point;
   insertsRouted_.inc();
 
   // Sampled tracing: continue the hop chain the client started. Untraced
@@ -581,14 +584,11 @@ void Server::handleInsert(const Message& m) {
 
 void Server::coalesceInsert(const Message& m, const Point& p, ShardId shard,
                             Trace trace) {
-  bool flushNow = false;
-  bool eager = false;
   {
     std::lock_guard lock(coalesceMu_);
     Lane& lane = lanes_[shard];
     if (lane.buf.dims() != schema_.dims())
       lane.buf = PointSet(schema_.dims());
-    if (lane.buf.size() == 0) lane.oldestNanos = nowNanos();
     lane.buf.push(p.ref());
     lane.members.push_back({m.from, m.corr});
     if (trace.id != 0) {
@@ -596,24 +596,10 @@ void Server::coalesceInsert(const Message& m, const Point& p, ShardId shard,
           {static_cast<std::uint16_t>(TraceStage::kLaneEnqueue), nowNanos()});
       lane.traces.push_back(std::move(trace));
     }
-    const unsigned cap = lane.slow ? 1u : cfg_.coalesceMaxInFlight;
-    if (lane.inFlight < cap) {
-      if (lane.buf.size() >= cfg_.coalesceMaxItems) {
-        flushNow = true;
-      } else if (cfg_.coalesceEager && !lane.slow && lane.inFlight == 0) {
-        // Idle pipe: send right away — a one-at-a-time synchronous
-        // inserter sees zero added latency. Under pipelined load the
-        // window fills and later arrivals batch up behind it.
-        flushNow = true;
-        eager = true;
-      }
-    }
   }
-  if (flushNow) {
-    (eager ? coalesceEagerFlushes_ : coalesceSizeFlushes_)
-        .inc();
-    flushLane(shard);
-  }
+  // An idle lane sends right away, so a one-at-a-time inserter sees no
+  // added latency; a busy one keeps the item for the next ack.
+  flushLane(shard);
 }
 
 void Server::flushLane(ShardId shard) {
@@ -626,7 +612,7 @@ void Server::flushLane(ShardId shard) {
     auto it = lanes_.find(shard);
     if (it == lanes_.end() || it->second.buf.size() == 0) return;
     Lane& lane = it->second;
-    if (lane.inFlight >= (lane.slow ? 1u : cfg_.coalesceMaxInFlight)) return;
+    if (lane.inFlight > 0) return;  // its ack or release sends the buffer
     req.items = std::move(lane.buf);
     members = std::move(lane.members);
     traces = std::move(lane.traces);
@@ -680,36 +666,23 @@ void Server::flushLane(ShardId shard) {
   fabric_.send(dest, std::move(out));
 }
 
-std::uint64_t Server::flushExpired(std::uint64_t now, std::uint64_t horizon) {
-  std::vector<ShardId> due;
-  std::uint64_t wake = horizon;
+void Server::releaseLane(ShardId shard) {
   {
     std::lock_guard lock(coalesceMu_);
-    for (auto& [shard, lane] : lanes_) {
-      if (lane.buf.size() == 0) continue;
-      if (lane.inFlight >= (lane.slow ? 1u : cfg_.coalesceMaxInFlight))
-        continue;  // window full: the next ack releases this lane
-      const std::uint64_t deadline =
-          lane.oldestNanos + cfg_.coalesceDelayNanos;
-      if (deadline <= now)
-        due.push_back(shard);
-      else
-        wake = std::min(wake, deadline);
-    }
+    auto it = lanes_.find(shard);
+    if (it != lanes_.end() && it->second.inFlight > 0) --it->second.inFlight;
   }
-  for (ShardId shard : due) {
-    coalesceDeadlineFlushes_.inc();
-    flushLane(shard);
-  }
-  return wake;
+  flushLane(shard);
 }
 
 // ---- queries ----------------------------------------------------------------
 
 void Server::handleQuery(const Message& m) {
+  const std::optional<QueryBox> parsed =
+      readClientPayload(m, &QueryBox::deserialize);
+  if (!parsed) return;
   if (dedupClientRequest(m)) return;
-  ByteReader r(m.payload);
-  QueryBox box = QueryBox::deserialize(r);
+  const QueryBox& box = *parsed;
   queriesRouted_.inc();
 
   std::vector<ShardId> ids;
@@ -914,9 +887,11 @@ void Server::finishQuery(PendingQuery& q) {
 // ---- bulk -------------------------------------------------------------------
 
 void Server::handleBulk(const Message& m) {
+  const std::optional<PointSet> parsed =
+      readClientPayload(m, &PointSet::deserialize);
+  if (!parsed) return;
   if (dedupClientRequest(m)) return;
-  ByteReader r(m.payload);
-  PointSet items = PointSet::deserialize(r);
+  const PointSet& items = *parsed;
   insertsRouted_.inc(items.size());
 
   std::map<ShardId, PointSet> byShard;
@@ -1029,30 +1004,9 @@ void Server::handleWorkerBulkAck(const Message& m) {
   }
   if (coalesced) {
     if (m.traced()) recordIngestTrace(Trace{m.traceId, m.hops});
-    bool flushNext = false;
-    {
-      std::lock_guard lock(coalesceMu_);
-      auto it = lanes_.find(laneShard);
-      if (it != lanes_.end()) {
-        Lane& lane = it->second;
-        if (lane.inFlight > 0) --lane.inFlight;
-        const bool wasSlow = lane.slow;
-        lane.slow = ack.backlog >= cfg_.coalesceBacklogWatermark;
-        if (lane.slow && !wasSlow)
-          lanesThrottled_.inc();
-        // Ack-clocked release: the freed window slot immediately carries
-        // whatever batched up behind it.
-        flushNext = lane.buf.size() > 0 &&
-                    lane.inFlight < (lane.slow ? 1u
-                                               : cfg_.coalesceMaxInFlight);
-      }
-    }
     for (const auto& pi : members)
       replyToClient(pi.clientEp, pi.clientCorr, Op::kInsertAck, {});
-    if (flushNext) {
-      coalesceEagerFlushes_.inc();
-      flushLane(laneShard);
-    }
+    releaseLane(laneShard);  // whatever buffered behind the batch goes next
     return;
   }
   std::shared_ptr<PendingBulk> bulk;

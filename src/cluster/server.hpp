@@ -20,6 +20,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -55,27 +56,6 @@ struct ServerConfig {
   /// while within its staleness bound, else it redirects the chunk back to
   /// the primary — results stay exact either way.
   bool replicaReads = true;
-
-  // --- Ingest coalescing (the high-velocity hot path) -----------------------
-  // Every client insert is folded into a per-(worker, shard) kWBulk batch:
-  // one wire message, one correlation id, one retry entry, one WAL commit
-  // per batch instead of per item.
-  /// Flush a lane's buffer once it holds this many items...
-  std::size_t coalesceMaxItems = 4096;
-  /// ...or once its oldest item has waited this long.
-  std::uint64_t coalesceDelayNanos = 2'000'000;
-  /// Maximum coalesced batches in flight per lane; further flushes are
-  /// ack-clocked (each kWBulkAck releases the next batch), so the batch
-  /// size adapts to the worker round-trip automatically.
-  unsigned coalesceMaxInFlight = 4;
-  /// Eager flush: a lane with nothing in flight sends immediately, so a
-  /// synchronous (one-at-a-time) inserter sees no added latency; buffering
-  /// only kicks in once the pipe is full.
-  bool coalesceEager = true;
-  /// Backpressure: a kWBulkAck reporting a worker inbox depth at or above
-  /// this marks the lane slow — in-flight capped at 1 and eager flushing
-  /// off — until an ack reports the backlog drained below it.
-  std::uint64_t coalesceBacklogWatermark = 512;
 };
 
 class Server {
@@ -110,10 +90,6 @@ class Server {
     std::uint64_t snapshotMisses = 0;   // fell back to exclusive routing
     std::uint64_t coalescedBatches = 0;  // kWBulk batches the coalescer sent
     std::uint64_t coalescedItems = 0;    // client inserts riding them
-    std::uint64_t coalesceSizeFlushes = 0;
-    std::uint64_t coalesceDeadlineFlushes = 0;
-    std::uint64_t coalesceEagerFlushes = 0;
-    std::uint64_t lanesThrottled = 0;   // backpressure engagements
     // Gauges: all must return to 0 once traffic drains (leak detector).
     std::size_t pendingQueries = 0;
     std::size_t pendingBulks = 0;
@@ -210,14 +186,19 @@ class Server {
   };
 
   // --- ingest coalescing ------------------------------------------------------
-  /// One buffered-or-in-flight lane per target shard: points waiting to be
-  /// flushed, the clients to ack for each, and the in-flight window.
+  /// One lane per target shard. Every client insert is folded into a kWBulk
+  /// batch: one wire message, one correlation id, one retry entry and one
+  /// WAL commit per batch instead of per item. A lane keeps at most one
+  /// batch in flight: an idle lane sends an arriving item at once, a busy
+  /// one buffers it, and the in-flight batch's kWBulkAck (or its parking
+  /// once its retry budget is spent) sends the whole buffer as the next
+  /// batch. The batch size thus adapts to the worker round trip.
   struct Lane {
     PointSet buf;                        // buffered points, insertion order
     std::vector<PendingInsert> members;  // parallel: who to ack per point
-    std::uint64_t oldestNanos = 0;       // arrival time of buf's first item
-    unsigned inFlight = 0;               // coalesced batches awaiting ack
-    bool slow = false;                   // backpressure engaged
+    /// Coalesced batches awaiting ack: 0 or 1, except that a resumed
+    /// parked batch (recovery) may ride beside a new one.
+    unsigned inFlight = 0;
     /// Traced members parked in the buffer (each ends with kLaneEnqueue).
     /// On flush every one records lane dwell; the first rides the kWBulk
     /// so its remaining hops are stamped worker-side.
@@ -264,6 +245,13 @@ class Server {
              WorkerId dest);
   void finishQuery(PendingQuery& q);
   void finishBulk(PendingBulk& b);
+  /// Decode a client payload (a Point, QueryBox or PointSet) with `read`.
+  /// One that does not parse, or whose dimension count is not the
+  /// schema's, is malformed: counted and nullopt, and the caller drops the
+  /// request before it registers anything.
+  template <typename T>
+  std::optional<T> readClientPayload(const Message& m,
+                                     T (*read)(ByteReader&));
   /// True if the request is a duplicate (replayed or dropped) and the
   /// caller must not process it.
   bool dedupClientRequest(const Message& m);
@@ -280,24 +268,25 @@ class Server {
   /// on a miss (the caller falls back to the exclusive image path).
   static const RouteSnapshot::Leaf* snapshotRoute(const RouteSnapshot& snap,
                                                   PointRef p);
-  /// Buffer one client insert into its shard's lane; flushes eagerly when
-  /// the lane is idle and on the size threshold. `trace` (id 0 ==
-  /// untraced) is parked with the lane and completed when the batch acks.
+  /// Buffer one client insert into its shard's lane, then flush the lane.
+  /// `trace` (id 0 == untraced) is parked with the lane and completed when
+  /// the batch acks.
   void coalesceInsert(const Message& m, const Point& p, ShardId shard,
                       Trace trace);
-  /// Flush one lane's buffer as a kWBulk batch (no-op on an empty buffer).
-  /// Never called with coalesceMu_ or pendingMu_ held.
+  /// Send one lane's buffer as a kWBulk batch; a no-op while the lane has a
+  /// batch in flight or nothing buffered. Never called with coalesceMu_ or
+  /// pendingMu_ held.
   void flushLane(ShardId shard);
-  /// Deadline pass (event loop): flush lanes whose oldest buffered item has
-  /// waited past the coalescing delay. Returns the next deadline (or
-  /// `horizon` if no lane holds anything).
-  std::uint64_t flushExpired(std::uint64_t now, std::uint64_t horizon);
+  /// A lane's batch was acked or parked: count it out of flight, then
+  /// flush the lane.
+  void releaseLane(ShardId shard);
   /// Complete a client request: clears the in-flight marker, remembers the
   /// reply for future retransmissions, and sends it.
   void replyToClient(const std::string& ep, std::uint64_t corr, Op op,
                      Blob payload);
   /// Retransmit overdue worker-facing requests; expire exhausted ones.
-  /// Recomputes nextRetryDueNanos_ from the surviving entries.
+  /// Recomputes nextRetryDueNanos_ from the surviving entries. A parked
+  /// coalesced batch releases its lane, which then flushes its buffer.
   void sweepRetries();
   /// Record a newly registered retry deadline. Caller holds pendingMu_
   /// (every site that mutates retries_ does), so a plain min-store is
@@ -374,14 +363,11 @@ class Server {
   Counter& repliesReplayed_;
   Counter& dupRequests_;
   Counter& staleEpochAcks_;
+  Counter& malformedRequests_;
   Counter& snapshotHits_;
   Counter& snapshotMisses_;
   Counter& coalescedBatches_;
   Counter& coalescedItems_;
-  Counter& coalesceSizeFlushes_;
-  Counter& coalesceDeadlineFlushes_;
-  Counter& coalesceEagerFlushes_;
-  Counter& lanesThrottled_;
   // Per-stage trace histograms + freshness lag (see recordIngestTrace).
   AtomicHistogram& ingestRouteNs_;
   AtomicHistogram& ingestLaneDwellNs_;

@@ -535,7 +535,14 @@ bool pointInDomain(const Schema& schema, PointRef p) {
 
 void Worker::handleQuery(const Message& m) {
   const std::uint64_t recvNanos = nowNanos();
-  const WQuery req = WQuery::decode(m.payload);
+  WQuery req;
+  try {
+    req = WQuery::decode(m.payload);
+  } catch (const DeserializeError&) {
+    return;
+  }
+  // A box of the wrong dimension count would read past the shard keys.
+  if (req.box.dims() != schema_.dims()) return;
   std::vector<std::shared_ptr<Shard>> targets;
   WQueryReply reply;
   // (shard, was the server's root target) pairs that no live slot claims.
@@ -778,13 +785,9 @@ void Worker::handleBulk(const Message& m) {
   }
   std::uint64_t toApply = 0;
   for (const auto& t : targets) toApply += t.items.size();
-  // The ack carries a backpressure hint: this worker's inbox depth at ack
-  // time. Servers throttle coalesced flushes when it crosses their
-  // watermark (see ServerConfig::coalesceBacklogWatermark). It also names
-  // every slot that absorbed items and that slot's fencing epoch, so
-  // servers can reject a fenced zombie's late acks.
-  WBulkAck ack{toApply + forwarded,
-               static_cast<std::uint64_t>(inbox_->pending()), {}};
+  // The ack names every slot that absorbed items and that slot's fencing
+  // epoch, so servers can reject a fenced zombie's late acks.
+  WBulkAck ack{toApply + forwarded, {}};
   for (const auto& t : targets) ack.stamps.emplace_back(t.id, t.epoch);
   const Blob ackPayload = ack.encode();
   const bool chained =

@@ -4,6 +4,7 @@
 // hundreds of thousands of items per second.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -26,6 +27,7 @@ struct Point {
   std::vector<std::uint64_t> coords;
   double measure = 0;
 
+  unsigned dims() const { return static_cast<unsigned>(coords.size()); }
   PointRef ref() const { return {coords, measure}; }
 };
 
@@ -70,8 +72,10 @@ class PointSet {
   static PointSet deserialize(ByteReader& r) {
     PointSet ps(static_cast<unsigned>(r.varint()));
     const auto n = r.varint();
-    ps.coords_.reserve(n * ps.dims_);
-    ps.measures_.reserve(n);
+    // Wire counts are untrusted: reserve no more than the bytes left (a
+    // short payload then ends in DeserializeError, not a huge allocation).
+    ps.coords_.reserve(std::min<std::uint64_t>(n * ps.dims_, r.remaining()));
+    ps.measures_.reserve(std::min<std::uint64_t>(n, r.remaining() / 8));
     for (std::uint64_t i = 0; i < n * ps.dims_; ++i)
       ps.coords_.push_back(r.varint());
     for (std::uint64_t i = 0; i < n; ++i) ps.measures_.push_back(r.f64());

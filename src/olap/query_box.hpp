@@ -4,6 +4,7 @@
 // anything from a single cell to nearly the whole database (paper SIV).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -76,7 +77,7 @@ class QueryBox {
   static QueryBox deserialize(ByteReader& r) {
     QueryBox q;
     const auto n = r.varint();
-    q.dims_.reserve(n);
+    q.dims_.reserve(std::min<std::uint64_t>(n, r.remaining()));  // untrusted
     for (std::uint64_t i = 0; i < n; ++i)
       q.dims_.push_back(HierInterval::deserialize(r));
     return q;

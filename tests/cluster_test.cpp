@@ -279,6 +279,51 @@ TEST(Cluster, ServerStatsTrackRoutingActivity) {
   EXPECT_LE(s.boxExpansions, s.insertsRouted);
 }
 
+TEST(Cluster, MalformedClientRequestsAreDropped) {
+  const Schema schema = Schema::tpcds();
+  VolapCluster cluster(schema, fastOptions());
+  auto client = cluster.makeClient("c0", 0, 128);
+  DataGenerator gen(schema, 16);
+  const int kN = 500;
+  for (int i = 0; i < kN; ++i) client->insertAsync(gen.next());
+  client->drain();
+
+  // Requests whose dimension count is not the 8-dimension schema's, and
+  // one payload that does not parse at all, straight onto the wire.
+  const Schema narrow = Schema::synthetic(2);
+  const Point point{{1, 2}, 1.0};
+  PointSet points(2);
+  points.push(point.ref());
+  ByteWriter box, ins, bulk;
+  QueryBox(narrow).serialize(box);
+  writePoint(ins, point.ref());
+  points.serialize(bulk);
+  auto raw = cluster.fabric().bind("client/raw");
+  const std::string server = serverEndpoint(0);
+  cluster.fabric().send(server,
+                        makeMessage(Op::kQuery, 1, "client/raw", box.take()));
+  cluster.fabric().send(server,
+                        makeMessage(Op::kInsert, 2, "client/raw", ins.take()));
+  cluster.fabric().send(server,
+                        makeMessage(Op::kBulk, 3, "client/raw", bulk.take()));
+  cluster.fabric().send(server, makeMessage(Op::kQuery, 4, "client/raw",
+                                            Blob{0x05, 0x01}));
+  const auto malformed = [&] {
+    const MetricsSnapshot snap = cluster.server(0).metrics().snapshot();
+    const std::uint64_t* n = snap.findCounter("server.malformed_requests");
+    return n == nullptr ? 0 : *n;
+  };
+  EXPECT_TRUE(eventually([&] { return malformed() == 4; }));
+  // Dropped, not answered.
+  EXPECT_FALSE(raw->recvFor(50ms).has_value());
+
+  // The server still answers a valid query exactly.
+  const QueryReply r = client->query(QueryBox(schema));
+  EXPECT_FALSE(r.partial);
+  EXPECT_EQ(r.agg.count, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(malformed(), 4u);
+}
+
 TEST(Cluster, LatencyHistogramspopulate) {
   const Schema schema = Schema::tpcds();
   VolapCluster cluster(schema, fastOptions());

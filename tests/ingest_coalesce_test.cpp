@@ -1,6 +1,7 @@
-// Ingest hot-path tests: server-side coalescing (size / deadline / eager
-// flush triggers), exactly-once delivery when coalesced batches are
-// retransmitted, group-commit WAL equivalence with per-record appends, the
+// Ingest hot-path tests: server-side coalescing (batches form behind the
+// one batch a lane keeps in flight, and a parked batch releases its lane),
+// exactly-once delivery when coalesced batches are retransmitted,
+// group-commit WAL equivalence with per-record appends, the
 // Hilbert-presorted batch apply, and crash recovery of coalesced inserts —
 // "acked implies durable and queryable" must be unchanged by the pipeline.
 #include <gtest/gtest.h>
@@ -34,8 +35,8 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline = 5000ms) {
   return pred();
 }
 
-/// Small cluster with coalescing knobs exposed; callers tweak the
-/// ServerConfig coalesce fields per test.
+/// Small cluster with short worker-facing retry budgets, so a severed ack
+/// parks a coalesced batch within a few hundred milliseconds.
 ClusterOptions coalesceOptions() {
   ClusterOptions opts;
   opts.servers = 1;
@@ -69,48 +70,57 @@ bool coalesceGaugesDrained(VolapCluster& c) {
   return true;
 }
 
-TEST(IngestCoalesce, FlushOnSizeThreshold) {
+TEST(IngestCoalesce, BatchesFormBehindAnInFlightBatch) {
   const Schema schema = Schema::tpcds();
-  ClusterOptions opts = coalesceOptions();
-  opts.server.coalesceEager = false;  // isolate the size trigger
-  opts.server.coalesceMaxItems = 8;
-  opts.server.coalesceDelayNanos = 50'000'000;  // safety net, not the trigger
-  VolapCluster cluster(schema, opts);
+  VolapCluster cluster(schema, coalesceOptions());
   auto client = cluster.makeClient("c0", 0, 128);
   DataGenerator gen(schema, 7);
 
+  // With every ack severed, each lane's first batch stays in flight, so
+  // the inserts behind it must wait in the lane buffer.
+  cluster.fabric().addFaultRule({"worker/", "server/", 1.0});
   const int kN = 64;
   for (int i = 0; i < kN; ++i) client->insertAsync(gen.next());
+  EXPECT_TRUE(eventually(
+      [&] { return cluster.server(0).stats().coalesceBuffered > 0; }));
+  cluster.fabric().clearFaultRules();
   client->drain();
 
   EXPECT_EQ(client->insertsAcked(), static_cast<std::uint64_t>(kN));
   EXPECT_EQ(client->insertsExpired(), 0u);
   const Server::Stats st = cluster.server(0).stats();
-  EXPECT_GE(st.coalescedBatches, 1u);
-  EXPECT_GE(st.coalesceSizeFlushes, 1u);
-  // Every insert rode a coalesced batch.
-  EXPECT_EQ(serverCoalescedItems(cluster), static_cast<std::uint64_t>(kN));
+  // Every insert rode a coalesced batch, and the buffered ones shared them.
+  EXPECT_EQ(st.coalescedItems, static_cast<std::uint64_t>(kN));
+  EXPECT_LT(st.coalescedBatches, static_cast<std::uint64_t>(kN));
   EXPECT_TRUE(eventually([&] { return cluster.totalItems() == kN; }));
   EXPECT_TRUE(eventually([&] { return coalesceGaugesDrained(cluster); }));
 }
 
-TEST(IngestCoalesce, FlushOnDeadline) {
+TEST(IngestCoalesce, ParkedBatchReleasesItsLane) {
   const Schema schema = Schema::tpcds();
-  ClusterOptions opts = coalesceOptions();
-  opts.server.coalesceEager = false;
-  opts.server.coalesceMaxItems = 100'000;       // size can never trigger
-  opts.server.coalesceDelayNanos = 20'000'000;  // 20ms
-  VolapCluster cluster(schema, opts);
+  VolapCluster cluster(schema, coalesceOptions());
   auto client = cluster.makeClient("c0", 0, 128);
   DataGenerator gen(schema, 8);
 
-  const int kN = 5;
+  // Acks severed until a batch's worker retry budget is spent: the server
+  // parks that batch, and no ack will ever release its lane.
+  cluster.fabric().addFaultRule({"worker/", "server/", 1.0});
+  const int kN = 64;
   for (int i = 0; i < kN; ++i) client->insertAsync(gen.next());
-  client->drain();  // only the deadline can release these
+  EXPECT_TRUE(eventually(
+      [&] { return cluster.server(0).stats().coalesceBuffered > 0; }));
+  EXPECT_TRUE(eventually(
+      [&] { return cluster.server(0).stats().insertsDropped > 0; }));
+  // Parking released the lane, and the release itself sent the buffer.
+  EXPECT_TRUE(eventually(
+      [&] { return cluster.server(0).stats().coalesceBuffered == 0; }));
+  cluster.fabric().clearFaultRules();
+  client->drain();
 
   EXPECT_EQ(client->insertsAcked(), static_cast<std::uint64_t>(kN));
-  EXPECT_GE(cluster.server(0).stats().coalesceDeadlineFlushes, 1u);
+  EXPECT_EQ(client->insertsExpired(), 0u);
   EXPECT_TRUE(eventually([&] { return cluster.totalItems() == kN; }));
+  EXPECT_EQ(cluster.totalItems(), static_cast<std::uint64_t>(kN));
   EXPECT_TRUE(eventually([&] { return coalesceGaugesDrained(cluster); }));
 }
 
