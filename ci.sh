@@ -30,9 +30,10 @@ run_pass tsan build-tsan -DVOLAP_SANITIZE=thread
 run_pass asan-ubsan build-asan -DVOLAP_SANITIZE=address,undefined
 
 # Chaos-replication leg: the chain-failover tests (primary kill, tail kill,
-# replica reads — all under message loss) rerun under TSan explicitly. They
-# are in the suite above too; this leg keeps the replication data races
-# loud even if the suite is ever filtered down.
+# replica reads — all under message loss — plus lost seeds with replica
+# reads on, and the old owner killed mid-handover during a move) rerun
+# under TSan explicitly. They are in the suite above too; this leg keeps
+# the replication data races loud even if the suite is ever filtered down.
 echo "==== [tsan] chaos-replication ===="
 ctest --test-dir build-tsan --output-on-failure -R 'Failover' -j "$JOBS"
 
@@ -68,11 +69,13 @@ for f in "$BENCH_DIR"/BENCH_*.json; do
   echo "ok: $f"
 done
 
-# Stats-plane guard: run a short mixed workload, scrape every node over
-# kStats, and fail on schema drift (required metric names missing), a
-# dead freshness-lag histogram (count==0 or p99==0) or an empty trace
-# stage histogram on any server (count==0 for trace.query.{total,scan}_ns
-# or trace.ingest.{total,route,lane_dwell,wal,apply}_ns).
+# Stats-plane guard: wait until every shard has a replication chain, run a
+# short mixed workload, scrape every node over kStats, and fail on chains
+# that never form, schema drift (required metric names missing), a dead
+# freshness-lag histogram (count==0 or p99==0), an empty trace stage
+# histogram on any server (count==0 for trace.query.{total,scan}_ns or
+# trace.ingest.{total,route,lane_dwell,wal,apply,repl}_ns) or an empty
+# replica lag histogram (repl.lag_ns) on any worker.
 # cluster_stats exits nonzero on any of those, so this leg is just "run it".
 echo "==== [release] stats plane ===="
 cmake --build build-release -j "$JOBS" --target cluster_stats

@@ -6,21 +6,27 @@
 //
 //   ./examples/cluster_stats [items] [--json]
 //
-// Exit status is the contract the CI stats leg enforces: nonzero if any
-// node fails to answer kStats, any required metric name is missing from a
-// scrape (schema drift), or, on any server, the freshness-lag histogram
-// stayed empty / zero at p99 or a trace stage histogram the workload
-// exercises stayed empty: the query total or scan, or the ingest total,
-// route, lane dwell, WAL or apply stage (tracing plumbing broke, or trace
-// sampling aliased with the op pattern and skipped every op of a type).
+// The workload starts once every shard has a replication chain, so the
+// chain stage is exercised too. Exit status is the contract the CI stats
+// leg enforces: nonzero if the chains do not form, any node fails to
+// answer kStats, any required metric name is missing from a scrape (schema
+// drift), on any server the freshness-lag histogram stayed empty / zero at
+// p99 or a trace stage histogram the workload exercises stayed empty (the
+// query total or scan, or the ingest total, route, lane dwell, WAL, apply
+// or chain replication stage: tracing plumbing broke, or trace sampling
+// aliased with the op pattern and skipped every op of a type), or on any
+// worker the replica apply-lag histogram stayed empty.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/stats.hpp"
+#include "common/clock.hpp"
 #include "olap/data_gen.hpp"
 #include "olap/query_gen.hpp"
 #include "volap/volap.hpp"
@@ -42,6 +48,34 @@ int main(int argc, char** argv) {
   opts.workers = 3;
   opts.traceSampleEveryN = 4;  // dense sampling: this run is short
   VolapCluster cluster(schema, opts);
+
+  // Wait until the manager has built, seeded and published a chain for
+  // every shard: inserts that reach a chained shard run the replication
+  // stage, which the guard below requires to be live.
+  {
+    KeeperClient zk(cluster.fabric(), "stats-chains");
+    const std::size_t shards =
+        static_cast<std::size_t>(opts.workers) * opts.initialShardsPerWorker;
+    const auto allChained = [&] {
+      const auto names = zk.children(shardsPath());
+      if (!names || names->size() < shards) return false;
+      for (const auto& name : *names) {
+        const auto got = zk.get(shardsPath() + "/" + name);
+        if (!got) return false;
+        ByteReader r(got->data);
+        if (ShardInfo::deserialize(r).replicas.empty()) return false;
+      }
+      return true;
+    };
+    const std::uint64_t deadline = nowNanos() + 15'000'000'000ull;
+    while (!allChained()) {
+      if (nowNanos() > deadline) {
+        std::fprintf(stderr, "FAIL: shards never all chained\n");
+        return 1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
 
   // Mixed workload: pipelined inserts with aggregate queries riding along,
   // one client per server so every server's stage histograms fill up. Each
@@ -114,13 +148,22 @@ int main(int argc, char** argv) {
     // Liveness guard: on servers, freshness lag and every trace stage the
     // workload exercises must have real samples — an empty or all-zero
     // histogram means the trace plumbing (or its sampling) broke even
-    // though the name survived.
+    // though the name survived. Every worker mirrors some chain, so each
+    // must have applied appends as a replica.
+    if (r.node.rfind("worker/", 0) == 0) {
+      const HistogramStats* lag = r.snapshot.findHistogram("repl.lag_ns");
+      if (lag == nullptr || lag->count == 0) {
+        std::fprintf(stderr, "FAIL: %s replica lag histogram empty\n",
+                     r.node.c_str());
+        ++failures;
+      }
+    }
     if (r.node.rfind("server/", 0) == 0) {
       for (const char* name :
            {"trace.query.total_ns", "trace.query.scan_ns",
             "trace.ingest.total_ns", "trace.ingest.route_ns",
             "trace.ingest.lane_dwell_ns", "trace.ingest.wal_ns",
-            "trace.ingest.apply_ns"}) {
+            "trace.ingest.apply_ns", "trace.ingest.repl_ns"}) {
         const HistogramStats* h = r.snapshot.findHistogram(name);
         if (h == nullptr || h->count == 0) {
           std::fprintf(stderr, "FAIL: %s trace histogram %s empty\n",

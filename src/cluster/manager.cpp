@@ -11,7 +11,7 @@
 namespace volap {
 
 Manager::Manager(Fabric& fabric, const Schema& schema, ManagerConfig cfg,
-                 ShardId firstShardId, DurableLog* durable)
+                 ShardId firstShardId, DurableLog& durable)
     : fabric_(fabric),
       schema_(schema),
       cfg_(cfg),
@@ -47,9 +47,12 @@ void Manager::serve() {
     const std::uint64_t now = nowNanos();
     if (now >= nextTick) {
       sweepLeases();
+      // A lost step (or its lost ack) stalls a move until the lease; every
+      // step is idempotent, so resend each pending one once per tick.
+      for (const auto& [shard, mv] : moves_) fabric_.send(mv.stepTo, mv.step);
       // Recovery outranks balancing and runs even while balancing is
       // paused: a dead worker's shards are unreachable until re-hosted.
-      if (cfg_.recoveryEnabled && durable_ != nullptr) superviseRecovery();
+      if (cfg_.recoveryEnabled) superviseRecovery();
       if (enabled_.load(std::memory_order_relaxed) &&
           inFlight_.value() <
               static_cast<std::int64_t>(cfg_.maxConcurrentOps)) {
@@ -65,7 +68,6 @@ void Manager::serve() {
     }
     switch (static_cast<Op>(m->type)) {
       case Op::kSplitDone: handleSplitDone(*m); break;
-      case Op::kMigrateDone: handleMigrateDone(*m); break;
       case Op::kRecoverDone: handleRecoverDone(*m); break;
       case Op::kReplPromoteAck: handleReplPromoteAck(*m); break;
       case Op::kReplReconfigAck: handleReplReconfigAck(*m); break;
@@ -85,6 +87,7 @@ void Manager::handleStats(const Message& m) {
 
 void Manager::sweepLeases() {
   const std::uint64_t now = nowNanos();
+  std::vector<ShardId> expiredMoves;
   for (auto it = pendingOps_.begin(); it != pendingOps_.end();) {
     if (it->second.deadlineNanos > now) {
       ++it;
@@ -121,12 +124,15 @@ void Manager::sweepLeases() {
       orphanRetry_.insert(it->second.shard);
     } else if (it->second.kind == PendingOp::Kind::kReconfig) {
       pendingReconfig_.erase(it->second.shard);
+    } else if (it->second.kind == PendingOp::Kind::kMigrate) {
+      expiredMoves.push_back(it->second.shard);
     } else {
       inFlight_.add(-1);
     }
     it = pendingOps_.erase(it);
     opsTimedOut_.inc();
   }
+  for (ShardId shard : expiredMoves) endMove(shard, /*done=*/false);
 }
 
 bool Manager::readImage(std::map<WorkerId, WorkerStats>& workers,
@@ -205,6 +211,16 @@ void Manager::superviseRecovery() {
     haveBeat.insert(s.worker);
   }
 
+  // A move whose target died, or whose owner died before the handover's
+  // commit point, cannot finish: write it off (a fenced one becomes an
+  // orphan suspect, or the dead-owner pass below promotes or recovers it).
+  std::vector<ShardId> stuck;
+  for (const auto& [shard, mv] : moves_)
+    if (dead.count(mv.to) != 0 ||
+        (dead.count(mv.from.worker) != 0 && !mv.promoting))
+      stuck.push_back(shard);
+  for (ShardId shard : stuck) endMove(shard, /*done=*/false);
+
   if (!dead.empty() || !pendingRecover_.empty()) {
     // Live recovery targets, lightest first; recoveries round-robin across
     // them so one survivor does not absorb a whole dead worker alone.
@@ -236,7 +252,7 @@ void Manager::superviseRecovery() {
       }
       // Fence first: after this, the dead owner's appends/checkpoints fail
       // even if it is secretly alive (a zombie), so the snapshot is final.
-      auto snap = durable_->fence(s.id);
+      auto snap = durable_.fence(s.id);
       if (!snap.has_value()) continue;  // shard never wrote: nothing to move
 
       // Fast path — promotion: a live chain member already mirrors the
@@ -244,35 +260,19 @@ void Manager::superviseRecovery() {
       // Promote the most-caught-up survivor — the EARLIEST in chain order,
       // since each member applies before relaying — in place instead of
       // shipping the whole checkpoint + WAL across the fabric.
-      if (cfg_.replicationFactor >= 2) {
-        WorkerId candidate = kNoWorker;
-        for (WorkerId rep : s.replicas) {
-          if (rep == s.worker || dead.count(rep) != 0) continue;
-          if (workers.count(rep) == 0) continue;
-          candidate = rep;
-          break;
-        }
-        if (candidate != kNoWorker &&
-            casPromotion(s, snap->epoch, candidate)) {
-          ReplPromote req{s.id, snap->epoch};
-          const std::uint64_t corr = nextCorr_++;
-          pendingOps_[corr] = {PendingOp::Kind::kPromote,
-                               nowNanos() + cfg_.opLeaseNanos, s.id};
-          pendingRecover_[s.id] = s.worker;
-          if (fabric_.send(workerEndpoint(candidate),
-                           makeMessage(Op::kReplPromote, corr,
-                                       managerEndpoint(), req.encode()))) {
-            continue;  // promotion dispatched; cold path not needed
-          }
-          // Send failed: roll the image back so the cold path below (and
-          // later ticks) still see the dead owner.
-          pendingOps_.erase(corr);
-          pendingRecover_.erase(s.id);
-          ShardInfo back;
-          back.id = s.id;
-          back.worker = s.worker;
-          writeShardInfo(back, /*relocate=*/true, /*takeCount=*/false);
-        }
+      WorkerId candidate = kNoWorker;
+      for (WorkerId rep : s.replicas) {
+        if (rep == s.worker || dead.count(rep) != 0) continue;
+        if (workers.count(rep) == 0) continue;
+        candidate = rep;
+        break;
+      }
+      if (candidate != kNoWorker &&
+          promote(s, snap->epoch, candidate,
+                  {PendingOp::Kind::kPromote, nowNanos() + cfg_.opLeaseNanos,
+                   s.id}) != 0) {
+        pendingRecover_[s.id] = s.worker;
+        continue;  // promotion dispatched; cold path not needed
       }
 
       RecoverShard req;
@@ -282,16 +282,10 @@ void Manager::superviseRecovery() {
       req.wal = std::move(snap->wal);
       req.applied = std::move(snap->applied);
       const WorkerId target = targets[rr++ % targets.size()];
-      const std::uint64_t corr = nextCorr_++;
-      pendingOps_[corr] = {PendingOp::Kind::kRecover,
-                           nowNanos() + cfg_.opLeaseNanos, s.id};
-      pendingRecover_[s.id] = s.worker;
-      if (!fabric_.send(workerEndpoint(target),
-                        makeMessage(Op::kRecoverShard, corr,
-                                    managerEndpoint(), req.encode()))) {
-        pendingOps_.erase(corr);
-        pendingRecover_.erase(s.id);
-      }
+      if (dispatch(target, Op::kRecoverShard, req.encode(),
+                   {PendingOp::Kind::kRecover,
+                    nowNanos() + cfg_.opLeaseNanos, s.id}) != 0)
+        pendingRecover_[s.id] = s.worker;
     }
 
     // Retire a dead worker's registration only once the image maps none of
@@ -342,7 +336,7 @@ void Manager::superviseRecovery() {
         continue;
       if (pendingRecover_.size() >= cfg_.maxConcurrentRecoveries) break;
       if (targets.empty()) break;
-      auto snap = durable_->fence(s.id);
+      auto snap = durable_.fence(s.id);
       if (!snap.has_value()) {
         orphanRetry_.erase(s.id);  // never wrote: nothing to re-host
         continue;
@@ -354,17 +348,11 @@ void Manager::superviseRecovery() {
       req.wal = std::move(snap->wal);
       req.applied = std::move(snap->applied);
       const WorkerId target = targets[rr++ % targets.size()];
-      const std::uint64_t corr = nextCorr_++;
-      pendingOps_[corr] = {PendingOp::Kind::kRecover,
-                           nowNanos() + cfg_.opLeaseNanos, s.id};
-      pendingRecover_[s.id] = s.worker;
-      orphanRetry_.erase(s.id);
-      if (!fabric_.send(workerEndpoint(target),
-                        makeMessage(Op::kRecoverShard, corr,
-                                    managerEndpoint(), req.encode()))) {
-        pendingOps_.erase(corr);
-        pendingRecover_.erase(s.id);
-        orphanRetry_.insert(s.id);
+      if (dispatch(target, Op::kRecoverShard, req.encode(),
+                   {PendingOp::Kind::kRecover,
+                    nowNanos() + cfg_.opLeaseNanos, s.id}) != 0) {
+        pendingRecover_[s.id] = s.worker;
+        orphanRetry_.erase(s.id);
       }
     }
     // Suspects no longer in the image (retired by a split merge-back or a
@@ -416,15 +404,47 @@ bool Manager::casPromotion(const ShardInfo& s, std::uint64_t epoch,
   return false;
 }
 
+std::uint64_t Manager::promote(const ShardInfo& s, std::uint64_t epoch,
+                               WorkerId target, PendingOp lease) {
+  if (!casPromotion(s, epoch, target)) return 0;
+  const std::uint64_t corr = dispatch(
+      target, Op::kReplPromote, ReplPromote{s.id, epoch}.encode(), lease);
+  if (corr == 0) {
+    // Send failed: roll the image back so later ticks still see the owner.
+    ShardInfo back;
+    back.id = s.id;
+    back.worker = s.worker;
+    writeShardInfo(back, /*relocate=*/true, /*takeCount=*/false);
+  }
+  return corr;
+}
+
+std::uint64_t Manager::dispatch(WorkerId to, Op op, Blob payload,
+                                PendingOp lease) {
+  const std::uint64_t corr = nextCorr_++;
+  pendingOps_[corr] = lease;
+  if (fabric_.send(workerEndpoint(to), makeMessage(op, corr, managerEndpoint(),
+                                                   std::move(payload))))
+    return corr;
+  pendingOps_.erase(corr);
+  return 0;
+}
+
+bool Manager::balancing(ShardId shard) const {
+  if (moves_.count(shard) != 0) return true;
+  for (const auto& [corr, op] : pendingOps_)
+    if (op.kind == PendingOp::Kind::kSplit && op.shard == shard) return true;
+  return false;
+}
+
 void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
                            const std::vector<ShardInfo>& shards,
                            const std::set<WorkerId>& avoid) {
-  if (cfg_.replicationFactor < 2) return;
   // Trusted workers (not dead, not suspect) as recruitment candidates.
   std::vector<WorkerId> live;
   for (const auto& [id, s] : workers)
     if (avoid.count(id) == 0) live.push_back(id);
-  if (live.size() < 2) return;  // nobody distinct to replicate onto
+  if (live.empty()) return;
   const std::size_t want = std::min<std::size_t>(
       cfg_.replicationFactor - 1, live.size() - 1);
   // Chain memberships (primary or replica) per worker: from the image, with
@@ -443,21 +463,16 @@ void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
     ++members[s.worker];
     for (WorkerId rep : s.replicas) ++members[rep];
   }
-  // Shards mid-split/migrate: their slot is busy and would NACK the
-  // reconfig, which the NACK handler reads as "owner lost the slot" and
-  // answers with a needless re-host. Wait the balancing op out instead.
-  std::set<ShardId> balancing;
-  for (const auto& [corr, op] : pendingOps_)
-    if (op.kind == PendingOp::Kind::kSplit ||
-        op.kind == PendingOp::Kind::kMigrate)
-      balancing.insert(op.shard);
   unsigned dispatched = 0;
   for (const ShardInfo& s : shards) {
     if (avoid.count(s.worker) != 0) continue;  // promotion/recovery first
     if (workers.count(s.worker) == 0) continue;
     if (pendingRecover_.count(s.id) != 0) continue;
     if (pendingReconfig_.count(s.id) != 0) continue;
-    if (balancing.count(s.id) != 0) continue;
+    // Mid-split the slot is busy and would NACK the reconfig, which the
+    // NACK handler reads as "owner lost the slot" and answers with a
+    // needless re-host; a move runs its own chain. Wait either out.
+    if (balancing(s.id)) continue;
     if (orphanRetry_.count(s.id) != 0) continue;  // re-host first
     // Keep healthy members in chain order; anything dead, unknown, or
     // duplicated forces a rebuild.
@@ -493,19 +508,15 @@ void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
       chain.push_back(best);
       ++members[best];
     }
-    if (chain.size() < 2) continue;  // cannot improve right now
-    const std::uint64_t corr = nextCorr_++;
-    pendingOps_[corr] = {PendingOp::Kind::kReconfig,
-                         nowNanos() + cfg_.opLeaseNanos, s.id};
-    pendingReconfig_[s.id] = chain;
-    if (!fabric_.send(workerEndpoint(s.worker),
-                      makeMessage(Op::kReplReconfig, corr,
-                                  managerEndpoint(),
-                                  ReplReconfig{s.id, chain}.encode()))) {
-      pendingOps_.erase(corr);
-      pendingReconfig_.erase(s.id);
+    // A lone primary is only worth a reconfig when it drops a chain (one
+    // left behind by a move, or whose members all died).
+    if (chain.size() < 2 && s.replicas.empty()) continue;
+    if (dispatch(s.worker, Op::kReplReconfig,
+                 ReplReconfig{s.id, chain}.encode(),
+                 {PendingOp::Kind::kReconfig,
+                  nowNanos() + cfg_.opLeaseNanos, s.id}) == 0)
       continue;
-    }
+    pendingReconfig_[s.id] = chain;
     if (++dispatched >= cfg_.maxConcurrentRecoveries) break;
   }
 }
@@ -518,10 +529,11 @@ void Manager::analyze() {
   // Shards with replication work in flight are off-limits for balancing:
   // a split/migrate would make the primary's slot busy and NACK the
   // pending reconfig, which the supervisor reads as a lost slot.
+  // Nor is a shard already being split or moved picked again.
   auto replBusy = [&](const ShardInfo& s) {
     return pendingReconfig_.count(s.id) != 0 ||
            pendingRecover_.count(s.id) != 0 ||
-           orphanRetry_.count(s.id) != 0;
+           orphanRetry_.count(s.id) != 0 || balancing(s.id);
   };
 
   // Rule 1 — capacity: split any shard beyond the size cap, largest first,
@@ -586,32 +598,120 @@ void Manager::startSplit(const ShardInfo& shard) {
   SplitShard req;
   req.shard = shard.id;
   req.newShard = allocShardId();
-  const std::uint64_t corr = nextCorr_++;
   inFlight_.add(1);
-  pendingOps_[corr] = {PendingOp::Kind::kSplit,
-                       nowNanos() + cfg_.opLeaseNanos, shard.id};
-  if (!fabric_.send(workerEndpoint(shard.worker),
-                    makeMessage(Op::kSplitShard, corr, managerEndpoint(),
-                                req.encode()))) {
-    pendingOps_.erase(corr);
+  if (dispatch(shard.worker, Op::kSplitShard, req.encode(),
+               {PendingOp::Kind::kSplit, nowNanos() + cfg_.opLeaseNanos,
+                shard.id}) == 0)
     inFlight_.add(-1);
-  }
 }
 
 void Manager::startMigrate(const ShardInfo& shard, WorkerId dest) {
-  MigrateShard req;
-  req.shard = shard.id;
-  req.dest = dest;
-  const std::uint64_t corr = nextCorr_++;
   inFlight_.add(1);
-  pendingOps_[corr] = {PendingOp::Kind::kMigrate,
-                       nowNanos() + cfg_.opLeaseNanos, shard.id};
-  if (!fabric_.send(workerEndpoint(shard.worker),
-                    makeMessage(Op::kMigrateShard, corr, managerEndpoint(),
-                                req.encode()))) {
-    pendingOps_.erase(corr);
-    inFlight_.add(-1);
+  Move& mv = moves_[shard.id];
+  mv.from = shard;
+  mv.to = dest;
+  mv.deadlineNanos = nowNanos() + cfg_.opLeaseNanos;
+  if (std::find(shard.replicas.begin(), shard.replicas.end(), dest) !=
+      shard.replicas.end()) {
+    fenceAndRelease(shard.id);  // already a seeded replica: hand over now
+    return;
   }
+  // Step 1: append the target to the shard's chain (a two-member chain
+  // when the shard has none); the owner acks once the target is seeded.
+  std::vector<WorkerId> chain{shard.worker};
+  chain.insert(chain.end(), shard.replicas.begin(), shard.replicas.end());
+  chain.push_back(dest);
+  if (!sendMoveStep(shard.id, shard.worker, Op::kReplReconfig,
+                    ReplReconfig{shard.id, chain}.encode()))
+    endMove(shard.id, /*done=*/false);
+}
+
+void Manager::fenceAndRelease(ShardId shard) {
+  Move& mv = moves_.at(shard);
+  // Step 3: from here on no member can accept a write for the shard, so
+  // the owner's answers stay exact until it sheds the shard.
+  const auto snap = durable_.fence(shard);
+  if (!snap.has_value()) {
+    endMove(shard, /*done=*/false);  // never wrote: nothing to move
+    return;
+  }
+  mv.epoch = snap->epoch;
+  // Step 4: the owner sheds the fenced shard; the chain it names spares
+  // the target's mirror from the owner's drop notices.
+  if (!sendMoveStep(shard, mv.from.worker, Op::kReplReconfig,
+                    ReplReconfig{shard, {mv.to}}.encode()))
+    endMove(shard, /*done=*/false);
+}
+
+bool Manager::sendMoveStep(ShardId shard, WorkerId to, Op op, Blob payload) {
+  Move& mv = moves_.at(shard);
+  const std::uint64_t corr =
+      dispatch(to, op, payload,
+               {PendingOp::Kind::kMigrate, mv.deadlineNanos, shard});
+  mv.stepTo = workerEndpoint(to);
+  mv.step = makeMessage(op, corr, managerEndpoint(), std::move(payload));
+  return corr != 0;
+}
+
+void Manager::handleMoveAck(ShardId shard, const Message& m) {
+  auto it = moves_.find(shard);
+  if (it == moves_.end()) return;
+  Move& mv = it->second;
+  RecoverDone done;
+  try {
+    done = RecoverDone::decode(m.payload);
+  } catch (const DeserializeError&) {
+  }
+  if (!done.ok || done.info.id != shard) {
+    // Before the fence a NACK means the image owner does not host the
+    // shard (as for a repair reconfig): re-host it. After, endMove does.
+    if (mv.epoch == 0) orphanRetry_.insert(shard);
+    endMove(shard, /*done=*/false);
+    return;
+  }
+  if (mv.promoting) {
+    // Step 5 concluded: the target serves the shard under the new epoch.
+    writeShardInfo(done.info, /*relocate=*/true, /*takeCount=*/true);
+    migrations_.inc();
+    endMove(shard, /*done=*/true);
+    return;
+  }
+  if (mv.epoch == 0) {
+    // Step 2: every member, the target included, holds its seed. Publish
+    // the chain; a target missing from it means its seed failed.
+    writeShardInfo(done.info, /*relocate=*/true, /*takeCount=*/true);
+    if (std::find(done.info.replicas.begin(), done.info.replicas.end(),
+                  mv.to) == done.info.replicas.end()) {
+      endMove(shard, /*done=*/false);
+      return;
+    }
+    fenceAndRelease(shard);
+    return;
+  }
+  // The owner holds nothing of the shard any more: promote the target.
+  const std::uint64_t corr =
+      promote(mv.from, mv.epoch, mv.to,
+              {PendingOp::Kind::kMigrate, mv.deadlineNanos, shard});
+  if (corr == 0) {
+    endMove(shard, /*done=*/false);
+    return;
+  }
+  mv.promoting = true;
+  mv.stepTo = workerEndpoint(mv.to);
+  mv.step = makeMessage(Op::kReplPromote, corr, managerEndpoint(),
+                        ReplPromote{shard, mv.epoch}.encode());
+}
+
+void Manager::endMove(ShardId shard, bool done) {
+  auto it = moves_.find(shard);
+  if (it == moves_.end()) return;
+  if (!done && it->second.epoch != 0) orphanRetry_.insert(shard);
+  std::erase_if(pendingOps_, [shard](const auto& entry) {
+    return entry.second.kind == PendingOp::Kind::kMigrate &&
+           entry.second.shard == shard;
+  });
+  moves_.erase(it);
+  inFlight_.add(-1);
 }
 
 void Manager::writeShardInfo(const ShardInfo& info, bool relocate,
@@ -651,21 +751,6 @@ void Manager::handleSplitDone(const Message& m) {
   splits_.inc();
 }
 
-void Manager::handleMigrateDone(const Message& m) {
-  auto it = pendingOps_.find(m.corr);
-  if (it == pendingOps_.end() || it->second.kind != PendingOp::Kind::kMigrate)
-    return;  // lease expired, duplicate Done, or mismatched op kind
-  pendingOps_.erase(it);
-  inFlight_.add(-1);
-  const MigrateDone done = MigrateDone::decode(m.payload);
-  if (!done.ok) return;
-  ShardInfo info;
-  info.id = done.shard;
-  info.worker = done.dest;
-  writeShardInfo(info, /*relocate=*/true, /*takeCount=*/false);
-  migrations_.inc();
-}
-
 void Manager::handleRecoverDone(const Message& m) {
   auto it = pendingOps_.find(m.corr);
   if (it == pendingOps_.end() ||
@@ -697,10 +782,14 @@ void Manager::handleRecoverDone(const Message& m) {
 
 void Manager::handleReplPromoteAck(const Message& m) {
   auto it = pendingOps_.find(m.corr);
-  if (it == pendingOps_.end() ||
-      it->second.kind != PendingOp::Kind::kPromote)
-    return;  // lease expired, or duplicate/forged ack
+  if (it == pendingOps_.end()) return;  // lease expired, or duplicate ack
   const ShardId shard = it->second.shard;
+  if (it->second.kind == PendingOp::Kind::kMigrate) {
+    pendingOps_.erase(it);
+    handleMoveAck(shard, m);
+    return;
+  }
+  if (it->second.kind != PendingOp::Kind::kPromote) return;
   WorkerId deadOwner = kNoWorker;
   if (auto pr = pendingRecover_.find(shard); pr != pendingRecover_.end())
     deadOwner = pr->second;
@@ -737,10 +826,14 @@ void Manager::handleReplPromoteAck(const Message& m) {
 
 void Manager::handleReplReconfigAck(const Message& m) {
   auto it = pendingOps_.find(m.corr);
-  if (it == pendingOps_.end() ||
-      it->second.kind != PendingOp::Kind::kReconfig)
-    return;
+  if (it == pendingOps_.end()) return;
   const ShardId shard = it->second.shard;
+  if (it->second.kind == PendingOp::Kind::kMigrate) {
+    pendingOps_.erase(it);
+    handleMoveAck(shard, m);
+    return;
+  }
+  if (it->second.kind != PendingOp::Kind::kReconfig) return;
   pendingOps_.erase(it);
   pendingReconfig_.erase(shard);
   RecoverDone done;

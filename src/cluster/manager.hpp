@@ -4,15 +4,23 @@
 // onto newly added, empty) workers — while the system keeps serving
 // inserts and queries. The manager is deliberately not on the data path.
 //
-// Fault tolerance: every split/migrate command carries a lease; if the
-// worker's Done report does not arrive before the lease expires (dropped
-// command, dropped report, stuck worker), the operation is written off and
-// its in-flight slot reclaimed, so balancing never wedges. Late Done
-// reports for expired leases are ignored (no double accounting). Migration
+// A migration is a chain handover (chain reconfiguration, van Renesse &
+// Schneider): the target is appended to the shard's replication chain and
+// seeded (skipped when it already is a replica), the durable store is
+// fenced, the old owner sheds the shard, and the target is promoted under
+// the new epoch — the same promotion that fails a dead primary over.
+//
+// Fault tolerance: every split/migrate carries a lease; if the worker's
+// report does not arrive before the lease expires (dropped command,
+// dropped report, stuck worker), the operation is written off and its
+// in-flight slot reclaimed, so balancing never wedges. Late reports for
+// expired leases are ignored (no double accounting). A move resends its
+// current step every tick (each step is idempotent), and a move written
+// off after its fence is re-hosted by the orphan-heal path below. Move
 // targets are chosen among workers with a fresh liveness heartbeat.
 //
-// Crash recovery: when wired to the cluster's DurableLog, the manager also
-// runs the re-hosting supervisor. A worker whose heartbeat stays stale past
+// Crash recovery: the manager also runs the re-hosting supervisor over
+// the cluster's DurableLog. A worker whose heartbeat stays stale past
 // an extra grace period is declared dead; each shard the image maps to it
 // is fenced in the durable store (epoch bump — the zombie's appends start
 // failing) and its checkpoint + WAL tail shipped to a live worker via
@@ -52,8 +60,8 @@ struct ManagerConfig {
   bool enabled = true;
   /// How long a split/migrate may stay unacknowledged before the manager
   /// writes it off and reclaims its in-flight slot. Must comfortably exceed
-  /// the workers' transfer retry budget so an aborted migration reports
-  /// failure before the lease expires.
+  /// the workers' seed retry budget so a move whose seed failed reports it
+  /// before the lease expires.
   std::uint64_t opLeaseNanos = 10'000'000'000;
   /// A worker whose liveness heartbeat is older than this is not chosen as
   /// a migration target. Workers without a heartbeat znode are assumed
@@ -70,18 +78,17 @@ struct ManagerConfig {
   unsigned maxConcurrentRecoveries = 4;
   /// Replication factor R: every shard should live on one primary plus
   /// R-1 chain replicas on distinct live workers (src/repl/repl.hpp).
-  /// R = 1 disables chains entirely (no reconfigs are ever issued, and
-  /// the workers' ingest path skips the replication branch). Chains need
-  /// a DurableLog — without one the factor is ignored.
+  /// With R = 1 a shard has a chain only while it moves (the two-member
+  /// chain of a handover), and the repair scan shrinks any chain a move
+  /// left behind; otherwise the workers' ingest path skips the
+  /// replication branch.
   unsigned replicationFactor = 2;
 };
-
-class DurableLog;
 
 class Manager {
  public:
   Manager(Fabric& fabric, const Schema& schema, ManagerConfig cfg,
-          ShardId firstShardId, DurableLog* durable = nullptr);
+          ShardId firstShardId, DurableLog& durable);
   ~Manager();
 
   Manager(const Manager&) = delete;
@@ -121,8 +128,8 @@ class Manager {
     ShardInfo info;
   };
   /// Lease for one outstanding split/migrate/recover command, keyed by its
-  /// corr. `shard` is set for recoveries so an expired lease un-pends the
-  /// shard (it gets re-fenced and retried on a later tick).
+  /// corr. `shard` names the shard the command works on, so an expired
+  /// lease can un-pend it.
   struct PendingOp {
     enum class Kind : std::uint8_t {
       kSplit,
@@ -135,6 +142,17 @@ class Manager {
     std::uint64_t deadlineNanos = 0;
     ShardId shard = 0;
   };
+  /// One migration in flight: its lease, where it moves the shard, and
+  /// the step it waits on (resent every tick until acked).
+  struct Move {
+    ShardInfo from;                  // image entry when the move began
+    WorkerId to = kNoWorker;
+    std::uint64_t epoch = 0;         // fence epoch; 0 before the fence
+    bool promoting = false;          // casPromotion done, promote sent
+    std::uint64_t deadlineNanos = 0;
+    std::string stepTo;              // endpoint of the pending step
+    Message step;                    // its command, corr included
+  };
 
   void serve();
   void handleStats(const Message& m);
@@ -142,7 +160,6 @@ class Manager {
   void sweepLeases();
   void superviseRecovery();
   void handleSplitDone(const Message& m);
-  void handleMigrateDone(const Message& m);
   void handleRecoverDone(const Message& m);
   void handleReplPromoteAck(const Message& m);
   void handleReplReconfigAck(const Message& m);
@@ -159,6 +176,17 @@ class Manager {
   /// past ours; the caller then falls back to cold recovery.
   bool casPromotion(const ShardInfo& s, std::uint64_t epoch,
                     WorkerId target);
+  /// Promotion dispatch, shared by failover and moves: casPromotion, then
+  /// kReplPromote to `target` under `lease`. Returns the command's corr,
+  /// or 0 when the CAS lost or the send failed (the image is then
+  /// pointed back at s.worker).
+  std::uint64_t promote(const ShardInfo& s, std::uint64_t epoch,
+                        WorkerId target, PendingOp lease);
+  /// Send `op` to worker `to` under `lease`; returns its corr, 0 if the
+  /// send failed (nothing registered).
+  std::uint64_t dispatch(WorkerId to, Op op, Blob payload, PendingOp lease);
+  /// True while a split or migration of `shard` is in flight.
+  bool balancing(ShardId shard) const;
   bool readImage(std::map<WorkerId, WorkerStats>& workers,
                  std::vector<ShardInfo>& shards);
   /// Workers whose heartbeat znode exists but is stale by more than
@@ -170,13 +198,24 @@ class Manager {
                                      std::set<WorkerId>* haveBeat = nullptr);
   void startSplit(const ShardInfo& shard);
   void startMigrate(const ShardInfo& shard, WorkerId dest);
+  /// Move steps 3-4: fence the shard, then tell the owner to shed it.
+  void fenceAndRelease(ShardId shard);
+  /// Advance a move on its step's ack (a kReplReconfigAck or
+  /// kReplPromoteAck whose lease is a kMigrate).
+  void handleMoveAck(ShardId shard, const Message& m);
+  /// Register `op` to `to` as the move's pending step and send it.
+  bool sendMoveStep(ShardId shard, WorkerId to, Op op, Blob payload);
+  /// Conclude a move: a fenced shard whose handover did not finish is
+  /// left to the orphan-heal path (before the fence the repair scan puts
+  /// the chain back in shape).
+  void endMove(ShardId shard, bool done);
   void writeShardInfo(const ShardInfo& info, bool relocate,
                       bool takeCount);
 
   Fabric& fabric_;
   const Schema& schema_;
   ManagerConfig cfg_;
-  DurableLog* const durable_;  // nullable: recovery supervision off
+  DurableLog& durable_;
   std::shared_ptr<Mailbox> inbox_;
   KeeperClient zk_;
   std::atomic<ShardId> nextShardId_;
@@ -208,6 +247,8 @@ class Manager {
   /// Shards that have completed at least one reconfig: a later reconfig
   /// for them is a chain REPAIR, not initial chain creation.
   std::set<ShardId> everChained_;
+  /// Migrations in flight (serve thread only).
+  std::map<ShardId, Move> moves_;
 
   std::thread thread_;
 };

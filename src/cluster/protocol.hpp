@@ -35,18 +35,11 @@ enum class Op : std::uint16_t {
   // Manager/bootstrap -> Worker.
   kCreateShard = 0x240,   // shard id + kind
   kSplitShard = 0x241,    // shard id + new shard id
-  kMigrateShard = 0x242,  // shard id + destination worker
   kRecoverShard = 0x243,  // fenced durable state to restore (epoch+ckpt+wal)
   // Worker -> Manager.
   kCreateShardAck = 0x250,
   kSplitDone = 0x251,   // ok + both halves' info
-  kMigrateDone = 0x252, // ok + shard id + dest
   kRecoverDone = 0x253, // ok + restored shard's info
-  // Worker <-> Worker (migration transfer).
-  kTransferShard = 0x260,  // shard id + serialized blob
-  kTransferAck = 0x261,
-  kTransferItems = 0x262,  // shard id + queued items that arrived mid-move
-  kTransferItemsAck = 0x263,  // echoes corr so the sender stops retrying
   // Stats plane (any scraper -> any node; see cluster/stats.hpp).
   kStats = 0x270,       // empty payload; reply-to taken from Message::from
   kStatsReply = 0x271,  // StatsReply: node name + registry snapshot + traces
@@ -55,7 +48,7 @@ enum class Op : std::uint16_t {
   kReplAck = 0x281,         // successor -> predecessor: cumulative apply ack
   kReplSeed = 0x282,        // primary -> new chain member: checkpoint + WAL
   kReplSeedAck = 0x283,     // member -> primary: seed installed
-  kReplReconfig = 0x284,    // manager -> primary: adopt this chain
+  kReplReconfig = 0x284,    // manager -> owner: adopt (or hand over) chain
   kReplReconfigAck = 0x285, // primary -> manager: RecoverDone
   kReplPromote = 0x286,     // manager -> replica: become primary at epoch
   kReplPromoteAck = 0x287,  // replica -> manager: RecoverDone
@@ -260,54 +253,11 @@ struct SplitDone {
   }
 };
 
-/// kMigrateShard payload.
-struct MigrateShard {
-  ShardId shard = 0;
-  WorkerId dest = kNoWorker;
-
-  Blob encode() const {
-    ByteWriter w;
-    w.varint(shard);
-    w.u32(dest);
-    return w.take();
-  }
-  static MigrateShard decode(const Blob& b) {
-    ByteReader r(b);
-    MigrateShard m;
-    m.shard = r.varint();
-    m.dest = r.u32();
-    return m;
-  }
-};
-
-/// kMigrateDone payload.
-struct MigrateDone {
-  bool ok = false;
-  ShardId shard = 0;
-  WorkerId dest = kNoWorker;
-
-  Blob encode() const {
-    ByteWriter w;
-    w.u8(ok ? 1 : 0);
-    w.varint(shard);
-    w.u32(dest);
-    return w.take();
-  }
-  static MigrateDone decode(const Blob& b) {
-    ByteReader r(b);
-    MigrateDone m;
-    m.ok = r.u8() != 0;
-    m.shard = r.varint();
-    m.dest = r.u32();
-    return m;
-  }
-};
-
-/// kTransferShard payload. Carries the mapping-table entry (SIII-E) along
-/// with the data so a previously split shard keeps redirecting queries to
-/// its right half after it moves, plus the fencing epoch the destination
-/// installs the slot under. Doubles as the checkpoint format in the
-/// durable store (recovery decodes the same blob).
+/// A shard's serialized state: the checkpoint format of the durable store
+/// and the snapshot a kReplSeed ships to a new chain member. Carries the
+/// mapping-table entry (SIII-E) along with the data, so a previously split
+/// shard keeps redirecting queries to its right half wherever it is
+/// restored or promoted, plus the fencing epoch it was taken under.
 struct TransferShard {
   ShardId shard = 0;
   std::uint64_t epoch = 0;
@@ -407,7 +357,7 @@ struct RecoverDone {
   }
 };
 
-/// kWBulk / kTransferItems payload.
+/// kWBulk payload.
 struct ShardBatch {
   ShardId shard = 0;
   PointSet items;

@@ -49,6 +49,9 @@ void stamp(std::vector<TraceHop>& hops, TraceStage s, std::uint64_t nanos) {
 /// is answered from cache instead of re-applied.
 constexpr std::size_t kReplLogCap = 8192;
 
+/// dropChainLocked's `successors` when every former member is notified.
+const std::vector<WorkerId> kNoSuccessors;
+
 WalRecord makeWalRecord(const Message& m, Op ackOp, const Blob& ackPayload,
                         const PointSet& items) {
   WalRecord rec;
@@ -65,26 +68,22 @@ WalRecord makeWalRecord(const Message& m, Op ackOp, const Blob& ackPayload,
 }  // namespace
 
 Worker::Worker(Fabric& fabric, const Schema& schema, WorkerId id,
-               WorkerConfig cfg, DurableLog* durable)
+               DurableLog& durable, WorkerConfig cfg)
     : fabric_(fabric),
       schema_(schema),
       id_(id),
       cfg_(cfg),
       durable_(durable),
-      groupCommit_(durable != nullptr ? std::make_unique<GroupCommit>(*durable)
-                                      : nullptr),
+      groupCommit_(durable),
       inbox_(fabric.bind(workerEndpoint(id))),
       zk_(fabric, workerEndpoint(id)),
       replRng_(0x7265706cull ^ id),
-      rng_(0x776f726bull ^ id),
       inserts_(metrics_.counter("worker.inserts_applied")),
       queries_(metrics_.counter("worker.queries_served")),
       dropped_(metrics_.counter("worker.items_dropped")),
       rejectedBatches_(metrics_.counter("worker.batches_rejected")),
       redelivered_(metrics_.counter("worker.redelivered")),
       retriesSent_(metrics_.counter("worker.retries_sent")),
-      forwardsLost_(metrics_.counter("worker.forwards_lost")),
-      migrationsAborted_(metrics_.counter("worker.migrations_aborted")),
       fencedOps_(metrics_.counter("worker.fenced_ops")),
       fencedShards_(metrics_.counter("worker.fenced_shards")),
       recovered_(metrics_.counter("worker.shards_recovered")),
@@ -160,7 +159,6 @@ void Worker::crash() {
   {
     std::lock_guard lock(slotsMu_);
     slots_.clear();
-    pendingMigrations_.clear();
   }
   {
     std::lock_guard lock(replMu_);
@@ -170,15 +168,12 @@ void Worker::crash() {
     heldAcks_.clear();  // never acked: the promoted owner re-answers retries
     chainsActive_.store(0, std::memory_order_release);
   }
-  std::lock_guard lock(retryMu_);
-  retryMap_.clear();
 }
 
 std::uint64_t Worker::itemsHeld() const {
   std::lock_guard lock(slotsMu_);
   std::uint64_t total = 0;
   for (const auto& [id, slot] : slots_) {
-    if (slot.movedTo != kNoWorker) continue;
     if (slot.shard) total += slot.shard->size();
     if (slot.queue) total += slot.queue->size();
   }
@@ -187,10 +182,7 @@ std::uint64_t Worker::itemsHeld() const {
 
 std::size_t Worker::shardCount() const {
   std::lock_guard lock(slotsMu_);
-  std::size_t n = 0;
-  for (const auto& [id, slot] : slots_)
-    if (slot.movedTo == kNoWorker) ++n;
-  return n;
+  return slots_.size();
 }
 
 template <typename Count>
@@ -216,8 +208,8 @@ std::uint64_t Worker::itemsTested() const {
 }
 
 std::size_t Worker::retryEntries() const {
-  std::lock_guard lock(retryMu_);
-  return retryMap_.size();
+  std::lock_guard lock(replMu_);
+  return pendingSeeds_.size();
 }
 
 std::size_t Worker::replicaShardCount() const {
@@ -239,16 +231,13 @@ void Worker::serve() {
       pushStats();
       nextStats = now + cfg_.statsIntervalNanos;
     }
-    if (durable_ != nullptr && now >= nextCheckpoint) {
+    if (now >= nextCheckpoint) {
       checkpointShards();
       nextCheckpoint = now + cfg_.checkpointIntervalNanos;
     }
-    sweepRetries();
     const std::uint64_t replDue = sweepReplication();
-    std::uint64_t timer = nextStats;
-    if (durable_ != nullptr) timer = std::min(timer, nextCheckpoint);
-    if (replDue != 0) timer = std::min(timer, replDue);
-    const std::uint64_t wake = nextWakeNanos(timer);
+    std::uint64_t wake = std::min(nextStats, nextCheckpoint);
+    if (replDue != 0) wake = std::min(wake, replDue);
     now = nowNanos();
     auto m = inbox_->recvFor(
         std::chrono::nanoseconds(wake > now ? wake - now : 1));
@@ -262,8 +251,7 @@ void Worker::serve() {
         pool_.submit([this, msg] { handleQuery(*msg); });
         break;
       }
-      case Op::kWBulk:
-      case Op::kTransferItems: {
+      case Op::kWBulk: {
         auto msg = std::make_shared<Message>(std::move(*m));
         pool_.submit([this, msg] { handleBulk(*msg); });
         break;
@@ -276,24 +264,11 @@ void Worker::serve() {
         pool_.submit([this, msg] { handleSplitShard(*msg); });
         break;
       }
-      case Op::kMigrateShard: {
-        auto msg = std::make_shared<Message>(std::move(*m));
-        pool_.submit([this, msg] { handleMigrateShard(*msg); });
-        break;
-      }
-      case Op::kTransferShard: {
-        auto msg = std::make_shared<Message>(std::move(*m));
-        pool_.submit([this, msg] { handleTransferShard(*msg); });
-        break;
-      }
       case Op::kRecoverShard: {
         auto msg = std::make_shared<Message>(std::move(*m));
         pool_.submit([this, msg] { handleRecoverShard(*msg); });
         break;
       }
-      case Op::kTransferAck:
-        handleTransferAck(*m);
-        break;
       case Op::kReplAppend:
       case Op::kReplSeed:
       case Op::kReplReconfig:
@@ -319,13 +294,6 @@ void Worker::serve() {
       case Op::kStats:
         handleStats(*m);
         break;
-      case Op::kWBulkAck:
-      case Op::kTransferItemsAck: {
-        // Ack for something this worker forwarded with its own retry state.
-        std::lock_guard lock(retryMu_);
-        retryMap_.erase(m->corr);
-        break;
-      }
       default:
         break;  // keeper watch events etc.: workers ignore them
     }
@@ -416,107 +384,6 @@ void Worker::seedReplayCache(ShardId shard, std::uint64_t epoch,
   }
 }
 
-// ---- worker-to-worker retries -----------------------------------------------
-
-void Worker::sendWithRetry(const std::string& dest, Op op,
-                           std::uint64_t corr, Blob payload, ShardId shard) {
-  // One allocation serves the wire send, the retry entry, and every
-  // retransmission: the payload becomes a shared immutable blob up front.
-  const SharedBlob shared(std::move(payload));
-  {
-    std::lock_guard lock(retryMu_);
-    retryMap_.emplace(
-        corr, WireRetry{dest, op, shared, 1,
-                        nowNanos() + retryDelayNanos(cfg_.transferRetry, 1,
-                                                     rng_),
-                        shard});
-  }
-  fabric_.send(dest, makeMessage(op, corr, workerEndpoint(id_), shared));
-}
-
-void Worker::sweepRetries() {
-  struct Resend {
-    std::string dest;
-    Op op;
-    std::uint64_t corr;
-    SharedBlob payload;
-  };
-  std::vector<Resend> resend;
-  std::vector<ShardId> abortedMigrations;
-  std::vector<std::uint64_t> failedSeeds;
-  const std::uint64_t now = nowNanos();
-  {
-    std::lock_guard lock(retryMu_);
-    for (auto it = retryMap_.begin(); it != retryMap_.end();) {
-      WireRetry& rt = it->second;
-      if (rt.dueNanos > now) {
-        ++it;
-        continue;
-      }
-      if (rt.attempts < cfg_.transferRetry.maxAttempts) {
-        ++rt.attempts;
-        rt.dueNanos =
-            now + retryDelayNanos(cfg_.transferRetry, rt.attempts, rng_);
-        resend.push_back({rt.dest, rt.op, it->first, rt.payload});
-        retriesSent_.inc();
-        ++it;
-        continue;
-      }
-      if (rt.op == Op::kTransferShard) {
-        abortedMigrations.push_back(rt.shard);
-      } else if (rt.op == Op::kReplSeed) {
-        // The recruit never confirmed its seed: tear the chain down rather
-        // than run it silently under-replicated (the manager re-recruits).
-        failedSeeds.push_back(it->first);
-      } else {
-        // A forwarded batch or migration-queue remnant is gone for good:
-        // its items were already acked upstream (at-least-once), so all we
-        // can do is count the loss.
-        forwardsLost_.inc();
-      }
-      it = retryMap_.erase(it);
-    }
-  }
-  for (auto& r : resend)
-    fabric_.send(r.dest, makeMessage(r.op, r.corr, workerEndpoint(id_),
-                                     std::move(r.payload)));
-  for (ShardId id : abortedMigrations) abortMigration(id);
-  for (std::uint64_t corr : failedSeeds) replSeedFailed(corr);
-}
-
-std::uint64_t Worker::nextWakeNanos(std::uint64_t nextTimer) {
-  std::uint64_t wake = nextTimer;
-  std::lock_guard lock(retryMu_);
-  for (const auto& [corr, rt] : retryMap_)
-    wake = std::min(wake, rt.dueNanos);
-  return wake;
-}
-
-void Worker::abortMigration(ShardId id) {
-  PendingMigration pm;
-  {
-    std::lock_guard lock(slotsMu_);
-    auto it = pendingMigrations_.find(id);
-    if (it == pendingMigrations_.end()) return;  // already completed
-    pm = it->second;
-    pendingMigrations_.erase(it);
-    Slot* slot = findSlot(id);
-    if (slot != nullptr && slot->busy) {
-      drainInserts(*slot->activeInserts);
-      PointSet queued(schema_.dims());
-      slot->queue->collect(queued);
-      slot->shard->bulkLoad(queued);
-      slot->queue.reset();
-      slot->busy = false;
-    }
-  }
-  migrationsAborted_.inc();
-  MigrateDone done{false, id, pm.dest};
-  fabric_.send(pm.managerEp, makeMessage(Op::kMigrateDone, pm.managerCorr,
-                                         workerEndpoint(id_),
-                                         done.encode()));
-}
-
 // ---- data path --------------------------------------------------------------
 
 namespace {
@@ -565,10 +432,6 @@ void Worker::handleQuery(const Message& m) {
           unresolved.emplace_back(cur, cur == id);
           continue;
         }
-        if (slot->movedTo != kNoWorker) {
-          reply.moved.emplace_back(cur, slot->movedTo);
-          continue;
-        }
         if (slot->shard && seen.insert(slot->shard.get()).second)
           targets.push_back(slot->shard);
         if (slot->queue && seen.insert(slot->queue.get()).second)
@@ -604,8 +467,9 @@ void Worker::handleQuery(const Message& m) {
         // to locate it via its image / the keeper.
         reply.moved.emplace_back(sid, kNoWorker);
       } else {
-        // A shard the server thinks we host but we do not (never did,
-        // or we were fenced out of it). Reporting it as not-mine makes
+        // A shard the server thinks we host but we do not (never did, or
+        // we were fenced out of it or handed it over). Reporting it as
+        // not-mine makes
         // the server count it unreachable — a visible partial result —
         // and refresh its image, instead of silently merging zero.
         reply.notMine.push_back(sid);
@@ -618,7 +482,8 @@ void Worker::handleQuery(const Message& m) {
   // one shard's time. parallelFor is caller-helping, so running inside a
   // pool task cannot deadlock even when every pool thread is busy. The
   // partial-reply semantics (moved/unreachable shards reported via
-  // reply.moved) were resolved above and are untouched by the fan-out.
+  // reply.moved/notMine) were resolved above and are untouched by the
+  // fan-out.
   // On a single hardware thread the fan-out is pure overhead (helper-task
   // enqueues and wakeups with no one to run them in parallel), so fall
   // back to the serial merge there.
@@ -650,16 +515,12 @@ void Worker::handleQuery(const Message& m) {
 }
 
 void Worker::handleBulk(const Message& m) {
-  const Op ackOp = static_cast<Op>(m.type) == Op::kWBulk
-                       ? Op::kWBulkAck
-                       : Op::kTransferItemsAck;
-  const bool acked = m.corr != 0;
-  if (acked && !beginRequest(m)) return;
+  if (!beginRequest(m)) return;
   std::vector<TraceHop> hops;
   if (m.traced()) stamp(hops, TraceStage::kWorkerRecv, nowNanos());
   ShardBatch batch = ShardBatch::decode(m.payload);
   if (batch.items.dims() != schema_.dims()) {
-    if (acked) abandonRequest(m);
+    abandonRequest(m);
     return;
   }
   bool poisoned = false;
@@ -670,7 +531,7 @@ void Worker::handleBulk(const Message& m) {
     // the scan — the items once, the batch once.
     dropped_.inc(batch.items.size());
     rejectedBatches_.inc();
-    if (acked) abandonRequest(m);
+    abandonRequest(m);
     return;
   }
   // Resolve the slot, partitioning recursively along split mappings.
@@ -682,12 +543,6 @@ void Worker::handleBulk(const Message& m) {
     PointSet items;
   };
   std::vector<Target> targets;
-  struct Forward {
-    WorkerId dest;
-    ShardBatch batch;
-  };
-  std::vector<Forward> forwards;
-  std::uint64_t forwarded = 0;
   std::vector<std::pair<ShardId, PointSet>> work;
   work.emplace_back(batch.shard, std::move(batch.items));
   bool fencedUnknown = false;
@@ -698,29 +553,16 @@ void Worker::handleBulk(const Message& m) {
       work.pop_back();
       Slot* slot = findSlot(id);
       if (slot == nullptr) {
-        if (durable_ != nullptr && durable_->knows(id)) {
+        if (durable_.knows(id)) {
           // A shard the durable store knows but this worker does not host:
-          // we were fenced out of it (or never owned it while someone else
-          // does). Acking would claim items that were never applied — bail
-          // out below, unacked; the sender's retry re-resolves toward the
-          // live owner.
+          // we were fenced out of it, handed it over, or never owned it
+          // while someone else does. Acking would claim items that were
+          // never applied — bail out below, unacked; the sender's retry
+          // re-resolves toward the live owner.
           fencedUnknown = true;
           break;
         }
         dropped_.inc(items.size());
-        continue;
-      }
-      if (slot->movedTo != kNoWorker) {
-        // Forward to the new owner but keep ack ownership here: the sender
-        // expects exactly one ack per batch, so the forwarded portion is
-        // counted as applied now (at-least-once) and the hop to the new
-        // owner gets its own corr + retry budget below.
-        forwarded += items.size();
-        Forward f;
-        f.dest = slot->movedTo;
-        f.batch.shard = id;
-        f.batch.items = std::move(items);
-        forwards.push_back(std::move(f));
         continue;
       }
       if (!slot->splits.empty()) {
@@ -769,32 +611,24 @@ void Worker::handleBulk(const Message& m) {
     }
   }
   if (fencedUnknown) {
-    // Drop the whole batch unacked and silent — no forwards either: the
-    // sender's retry re-resolves every member against fresh placement.
+    // Drop the whole batch unacked and silent: the sender's retry
+    // re-resolves every member against fresh placement.
     for (const auto& t : targets)
       t.active->fetch_sub(1, std::memory_order_acq_rel);
     fencedOps_.inc();
-    if (acked) abandonRequest(m);
+    abandonRequest(m);
     return;
-  }
-  for (auto& f : forwards) {
-    // The forwarded hop rides this worker's own retry budget; the new
-    // owner acks (kWBulkAck / kTransferItemsAck back to us) to stop it.
-    sendWithRetry(workerEndpoint(f.dest), static_cast<Op>(m.type),
-                  nextCorr_.fetch_add(1), f.batch.encode(), 0);
   }
   std::uint64_t toApply = 0;
   for (const auto& t : targets) toApply += t.items.size();
   // The ack names every slot that absorbed items and that slot's fencing
   // epoch, so servers can reject a fenced zombie's late acks.
-  WBulkAck ack{toApply + forwarded, {}};
+  WBulkAck ack{toApply, {}};
   for (const auto& t : targets) ack.stamps.emplace_back(t.id, t.epoch);
   const Blob ackPayload = ack.encode();
-  const bool chained =
-      durable_ != nullptr &&
-      chainsActive_.load(std::memory_order_acquire) != 0;
+  const bool chained = chainsActive_.load(std::memory_order_acquire) != 0;
   std::vector<WalRecord> replRecs;  // parallel to targets when `chained`
-  if (durable_ != nullptr && !targets.empty()) {
+  if (!targets.empty()) {
     // Write-ahead of both the apply and the ack, while every target's
     // in-flight count is held (so a concurrent checkpoint cannot truncate
     // between our append and apply). Commits ride the group-commit lane:
@@ -805,9 +639,9 @@ void Worker::handleBulk(const Message& m) {
     bool fenced = false;
     const std::uint64_t walStart = nowNanos();
     for (const auto& t : targets) {
-      WalRecord rec = makeWalRecord(m, ackOp, ackPayload, t.items);
+      WalRecord rec = makeWalRecord(m, Op::kWBulkAck, ackPayload, t.items);
       if (chained) replRecs.push_back(rec);
-      if (!groupCommit_->commit(t.id, t.epoch, std::move(rec))) {
+      if (!groupCommit_.commit(t.id, t.epoch, std::move(rec))) {
         fenced = true;
         break;
       }
@@ -817,15 +651,12 @@ void Worker::handleBulk(const Message& m) {
     if (!fenced && m.traced()) stamp(hops, TraceStage::kWorkerWal, walDone);
     if (fenced) {
       for (const auto& t : targets) {
-        durable_->rollback(t.id, m.from, m.corr);
+        durable_.rollback(t.id, m.from, m.corr);
         t.active->fetch_sub(1, std::memory_order_acq_rel);
       }
       fencedOps_.inc();
-      if (acked) abandonRequest(m);
-      std::vector<ShardId> shed;
-      for (const auto& t : targets)
-        if (durable_->epochOf(t.id) > t.epoch) shed.push_back(t.id);
-      for (ShardId id : shed) fenceSlot(id);
+      abandonRequest(m);
+      for (const auto& t : targets) fenceSlot(t.id);
       return;
     }
   }
@@ -843,18 +674,15 @@ void Worker::handleBulk(const Message& m) {
   if (m.traced()) stamp(hops, TraceStage::kWorkerApplied, applyDone);
   bool deferred = false;
   if (chained && replRecs.size() == targets.size()) {
-    std::shared_ptr<DeferredAck> d;
-    if (acked) {
-      d = std::make_shared<DeferredAck>();
-      d->from = m.from;
-      d->corr = m.corr;
-      d->ackOp = static_cast<std::uint16_t>(ackOp);
-      d->payload = ackPayload;
-      if (m.traced()) {
-        d->traceId = m.traceId;
-        d->hops = m.hops;
-        d->hops.insert(d->hops.end(), hops.begin(), hops.end());
-      }
+    auto d = std::make_shared<DeferredAck>();
+    d->from = m.from;
+    d->corr = m.corr;
+    d->ackOp = static_cast<std::uint16_t>(Op::kWBulkAck);
+    d->payload = ackPayload;
+    if (m.traced()) {
+      d->traceId = m.traceId;
+      d->hops = m.hops;
+      d->hops.insert(d->hops.end(), hops.begin(), hops.end());
     }
     // Forward while every target's in-flight ticket is still held: a
     // reconfig snapshot drains tickets under slotsMu_, so a record must not
@@ -862,13 +690,12 @@ void Worker::handleBulk(const Message& m) {
     for (std::size_t i = 0; i < targets.size(); ++i)
       deferred |= replicateRecord(targets[i].id, targets[i].epoch,
                                   std::move(replRecs[i]), d,
-                                  (d && m.traced()) ? &d->hops : nullptr) &&
-                  d != nullptr;
+                                  m.traced() ? &d->hops : nullptr);
   }
   for (const auto& t : targets)
     t.active->fetch_sub(1, std::memory_order_acq_rel);
   if (deferred) return;  // the tail's acks release the client ack
-  if (acked) completeRequest(m, ackOp, ackPayload, std::move(hops));
+  completeRequest(m, Op::kWBulkAck, ackPayload, std::move(hops));
 }
 
 // ---- control path -----------------------------------------------------------
@@ -880,13 +707,13 @@ void Worker::handleCreateShard(const Message& m) {
     if (slots_.count(req.shard) == 0) {
       Slot slot;
       slot.shard = makeShard(req.kind, schema_);
-      if (durable_ != nullptr) slot.epoch = durable_->epochOf(req.shard);
+      slot.epoch = durable_.epochOf(req.shard);
       const ShardId id = req.shard;
       auto [it, fresh] = slots_.emplace(id, std::move(slot));
       // Durable birth certificate: without it, a worker that crashes
       // before the first checkpoint would leave nothing to recover the
       // shard's kind (and existence) from.
-      if (durable_ != nullptr) checkpointSlotLocked(id, it->second);
+      checkpointSlotLocked(id, it->second);
     }
   }
   fabric_.send(m.from, makeMessage(Op::kCreateShardAck, m.corr,
@@ -907,8 +734,7 @@ void Worker::handleSplitShard(const Message& m) {
   {
     std::lock_guard lock(slotsMu_);
     Slot* slot = findSlot(req.shard);
-    if (slot == nullptr || slot->busy || slot->movedTo != kNoWorker ||
-        !slot->shard) {
+    if (slot == nullptr || slot->busy || !slot->shard) {
       fail();
       return;
     }
@@ -986,10 +812,8 @@ void Worker::handleSplitShard(const Message& m) {
     // blocked by slotsMu_, so WAL coverage is exact): a crash after the
     // split must restore the halves, not resurrect the pre-split parent
     // whose WAL was already truncated.
-    if (durable_ != nullptr) {
-      checkpointSlotLocked(req.shard, *slot);
-      checkpointSlotLocked(req.newShard, rit->second);
-    }
+    checkpointSlotLocked(req.shard, *slot);
+    checkpointSlotLocked(req.newShard, rit->second);
   }
   // The split invalidated any replication chain for the parent: its
   // replicas mirror the pre-split tree. Drop the chain (releasing any
@@ -998,132 +822,6 @@ void Worker::handleSplitShard(const Message& m) {
   dropChain(req.shard);
   fabric_.send(m.from, makeMessage(Op::kSplitDone, m.corr,
                                    workerEndpoint(id_), done.encode()));
-}
-
-void Worker::handleMigrateShard(const Message& m) {
-  const MigrateShard req = MigrateShard::decode(m.payload);
-  std::shared_ptr<Shard> shard;
-  std::shared_ptr<std::atomic<std::uint32_t>> active;
-  TransferShard xfer;
-  {
-    std::lock_guard lock(slotsMu_);
-    Slot* slot = findSlot(req.shard);
-    if (slot == nullptr || slot->busy || slot->movedTo != kNoWorker ||
-        !slot->shard || pendingMigrations_.count(req.shard) != 0) {
-      MigrateDone done{false, req.shard, req.dest};
-      fabric_.send(m.from, makeMessage(Op::kMigrateDone, m.corr,
-                                       workerEndpoint(id_), done.encode()));
-      return;
-    }
-    slot->busy = true;
-    slot->queue = makeShard(slot->shard->kind(), schema_);
-    shard = slot->shard;
-    active = slot->activeInserts;
-    xfer.epoch = slot->epoch;
-    xfer.splits = slot->splits;
-    pendingMigrations_[req.shard] = {req.dest, m.from, m.corr};
-  }
-  drainInserts(*active);
-  xfer.shard = req.shard;
-  xfer.blob = shard->serializeShard();
-  // The transfer rides a retry budget; if it exhausts, the migration is
-  // aborted and rolled back (see sweepRetries / abortMigration).
-  sendWithRetry(workerEndpoint(req.dest), Op::kTransferShard,
-                nextCorr_.fetch_add(1), xfer.encode(), req.shard);
-}
-
-void Worker::handleTransferShard(const Message& m) {
-  const TransferShard xfer = TransferShard::decode(m.payload);
-  bool install = false;
-  {
-    std::lock_guard lock(slotsMu_);
-    Slot* existing = findSlot(xfer.shard);
-    // Idempotent install: a retransmitted transfer (our ack was dropped)
-    // must NOT clobber the live slot — it may already have absorbed
-    // queued items and forwarded inserts. Just re-ack.
-    install = existing == nullptr || !existing->shard ||
-              existing->movedTo != kNoWorker;
-  }
-  if (install) {
-    std::shared_ptr<Shard> shard;
-    try {
-      shard = deserializeShard(schema_, xfer.blob);
-    } catch (const DeserializeError&) {
-      return;  // corrupt transfer; the source will keep owning the shard
-    }
-    // Seed the replay cache with every dedup identity the durable store
-    // knows for this shard — the live WAL tail plus the applied index of
-    // records the source's checkpoints already folded away. All of them
-    // were applied by the SOURCE and are part of the shipped blob, so a
-    // sender retransmitting one (its ack died with the old placement)
-    // must get the ack replayed here, never a second apply.
-    if (durable_ != nullptr)
-      seedReplayCache(xfer.shard, xfer.epoch,
-                      durable_->dedupTail(xfer.shard));
-    std::lock_guard lock(slotsMu_);
-    // Claim the shard in the durable store under the shipped epoch before
-    // serving it. A failure means the shard was fenced past this epoch
-    // while in flight — installing would resurrect stale data, so drop the
-    // transfer unacked and let the source's migration abort.
-    if (durable_ != nullptr &&
-        !durable_->saveCheckpoint(xfer.shard, xfer.epoch, id_,
-                                  Blob(m.payload))) {
-      fencedOps_.inc();
-      return;
-    }
-    Slot slot;
-    slot.shard = std::move(shard);
-    slot.splits = xfer.splits;
-    slot.epoch = xfer.epoch;
-    slots_[xfer.shard] = std::move(slot);
-  }
-  ByteWriter w;
-  w.varint(xfer.shard);
-  fabric_.send(m.from, makeMessage(Op::kTransferAck, m.corr,
-                                   workerEndpoint(id_), w.take()));
-}
-
-void Worker::handleTransferAck(const Message& m) {
-  {
-    std::lock_guard lock(retryMu_);
-    retryMap_.erase(m.corr);  // stop retransmitting the transfer
-  }
-  ByteReader r(m.payload);
-  const ShardId id = r.varint();
-  PendingMigration pm;
-  PointSet queued(schema_.dims());
-  {
-    std::lock_guard lock(slotsMu_);
-    auto it = pendingMigrations_.find(id);
-    if (it == pendingMigrations_.end()) return;  // duplicate ack
-    pm = it->second;
-    pendingMigrations_.erase(it);
-    Slot* slot = findSlot(id);
-    if (slot == nullptr) return;  // crashed/fenced mid-migration
-    drainInserts(*slot->activeInserts);
-    if (slot->queue) slot->queue->collect(queued);
-    slot->movedTo = pm.dest;
-    slot->queue.reset();
-    slot->shard.reset();
-    slot->busy = false;
-    slot->splits.clear();  // the mapping traveled with the transfer
-  }
-  // The new owner starts unreplicated; the manager's repair scan builds it
-  // a fresh chain. Ours is stale the moment ownership moved.
-  dropChain(id);
-  if (queued.size() > 0) {
-    ShardBatch batch;
-    batch.shard = id;
-    batch.items = std::move(queued);
-    // Queued items are part of the migration's durability contract: they
-    // carry their own corr + retry budget, acked by kTransferItemsAck.
-    sendWithRetry(workerEndpoint(pm.dest), Op::kTransferItems,
-                  nextCorr_.fetch_add(1), batch.encode(), 0);
-  }
-  MigrateDone done{true, id, pm.dest};
-  fabric_.send(pm.managerEp, makeMessage(Op::kMigrateDone, pm.managerCorr,
-                                         workerEndpoint(id_),
-                                         done.encode()));
 }
 
 // ---- crash recovery ---------------------------------------------------------
@@ -1145,7 +843,7 @@ void Worker::handleRecoverShard(const Message& m) {
     std::lock_guard lock(slotsMu_);
     Slot* existing = findSlot(req.shard);
     if (existing != nullptr && existing->shard &&
-        existing->movedTo == kNoWorker && existing->epoch >= req.epoch) {
+        existing->epoch >= req.epoch) {
       // Duplicate recover (our Done was lost): re-report the live slot.
       done.ok = true;
       done.info = {req.shard, id_,
@@ -1167,8 +865,8 @@ void Worker::handleRecoverShard(const Message& m) {
       shard = deserializeShard(schema_, ckpt.blob);
       splits = ckpt.splits;
     } else {
-      // The shard existed but never checkpointed (durability enabled
-      // mid-life): start empty with the default kind and replay the WAL.
+      // The shard existed but never checkpointed: start empty with the
+      // default kind and replay the WAL.
       shard = makeShard(ShardKind::kHilbertPdcMds, schema_);
     }
     for (const auto& rec : req.wal) {
@@ -1195,7 +893,7 @@ void Worker::handleRecoverShard(const Message& m) {
     // Fold the replayed WAL into a fresh checkpoint under the new epoch.
     // Failure means the supervisor re-fenced (it gave up on us and moved
     // on): report failure so no stale Done wins over the newer recovery.
-    if (durable_ != nullptr && !checkpointSlotLocked(req.shard, slot)) {
+    if (!checkpointSlotLocked(req.shard, slot)) {
       fencedOps_.inc();
       report();  // ok = false
       return;
@@ -1215,7 +913,7 @@ bool Worker::checkpointSlotLocked(ShardId id, const Slot& slot) {
   ckpt.epoch = slot.epoch;
   ckpt.blob = slot.shard->serializeShard();
   ckpt.splits = slot.splits;
-  if (!durable_->saveCheckpoint(id, slot.epoch, id_, ckpt.encode()))
+  if (!durable_.saveCheckpoint(id, slot.epoch, id_, ckpt.encode()))
     return false;
   checkpoints_.inc();
   return true;
@@ -1226,16 +924,13 @@ void Worker::checkpointShards() {
   {
     std::lock_guard lock(slotsMu_);
     for (const auto& [id, slot] : slots_)
-      if (!slot.busy && slot.movedTo == kNoWorker && slot.shard)
-        ids.push_back(id);
+      if (!slot.busy && slot.shard) ids.push_back(id);
   }
   std::vector<ShardId> shed;
   for (ShardId id : ids) {
     std::lock_guard lock(slotsMu_);
     Slot* slot = findSlot(id);
-    if (slot == nullptr || slot->busy || slot->movedTo != kNoWorker ||
-        !slot->shard)
-      continue;
+    if (slot == nullptr || slot->busy || !slot->shard) continue;
     // With slotsMu_ held and in-flight inserts drained, the shard contents
     // equal exactly the checkpoint's WAL coverage: appends happen while
     // holding an activeInserts ticket acquired under slotsMu_.
@@ -1245,34 +940,32 @@ void Worker::checkpointShards() {
   for (ShardId id : shed) fenceSlot(id);
 }
 
-void Worker::fenceSlot(ShardId id) {
-  bool wasBusy = false;
+bool Worker::fenceSlot(ShardId id, const std::vector<WorkerId>* successors) {
   {
     std::lock_guard lock(slotsMu_);
     auto it = slots_.find(id);
-    if (it == slots_.end()) return;
-    if (it->second.busy) {
-      // A split/migration holds the slot; its own appends/installs will
-      // fail and it unwinds through the normal abort paths. Try later.
-      wasBusy = true;
-    } else {
-      slots_.erase(it);
-      pendingMigrations_.erase(id);
-    }
+    if (it == slots_.end()) return true;
+    // A busy slot belongs to a split, whose own appends fail; an unfenced
+    // one is still ours.
+    if (it->second.busy || durable_.epochOf(id) <= it->second.epoch)
+      return false;
+    // Every insert holding a ticket has forwarded its record (its ack is
+    // parked on the chain, cancelled below) or failed its append; none is
+    // left to ack after the chain is gone.
+    drainInserts(*it->second.activeInserts);
+    slots_.erase(it);
   }
-  if (!wasBusy) {
-    fencedShards_.inc();
-    // Fenced out: any chain this worker headed for the shard is dead.
-    // Release its tail-gated acks (records are in our WAL; the recovered
-    // owner re-acks retries via its replay cache).
-    dropChain(id);
-  }
+  fencedShards_.inc();
+  std::vector<std::shared_ptr<DeferredAck>> none;
+  std::lock_guard lock(replMu_);
+  dropChainLocked(id, none, /*fenced=*/true, successors);
+  return true;
 }
 
 // ---- replication ------------------------------------------------------------
 //
 // Chain-replicated WALs (see src/repl/repl.hpp). Lock order on these
-// paths: slotsMu_ -> replMu_ -> (retryMu_ | dedupMu_), never the reverse.
+// paths: slotsMu_ -> replMu_ -> dedupMu_, never the reverse.
 // fabric_.send only enqueues, so sending under replMu_ is safe; keeper
 // calls (zk_) are RPCs and are never made under replMu_.
 
@@ -1359,7 +1052,7 @@ void Worker::handleReplAppend(const Message& m) {
     // promoted: a live slot for the shard outranks any replica role.
     std::lock_guard lock(slotsMu_);
     Slot* slot = findSlot(app.shard);
-    if (slot != nullptr && slot->shard && slot->movedTo == kNoWorker) {
+    if (slot != nullptr && slot->shard) {
       fencedOps_.inc();
       return;
     }
@@ -1383,7 +1076,6 @@ void Worker::handleReplAppend(const Message& m) {
       if (app.epoch < rs.epoch) fencedOps_.inc();
       return;
     }
-    rs.chain = app.chain;  // membership travels with every append
     if (arrivedIdx <= rs.lastApplied) {
       // Duplicate (retransmission; our ack or relay was lost). Re-ack
       // cumulatively — but an intermediate only up to what the tail
@@ -1398,6 +1090,7 @@ void Worker::handleReplAppend(const Message& m) {
              makeMessage(Op::kReplAck, m.corr, workerEndpoint(id_),
                          ReplAck{shardId, rs.epoch, ackedThrough}.encode())});
     } else {
+      rs.chain = app.chain;  // membership travels with every append
       rs.stash.emplace(arrivedIdx, std::move(app));
       const std::uint64_t now = nowNanos();
       bool advanced = false;
@@ -1543,6 +1236,7 @@ std::uint64_t Worker::sweepReplication() {
   };
   std::vector<Resend> resend;
   std::vector<std::pair<ShardId, std::uint64_t>> toDrop;  // shard, epoch
+  std::vector<ShardId> failedSeeds;
   std::vector<std::vector<std::shared_ptr<DeferredAck>>> dropReleases;
   std::vector<HeldRelease> dueHeld;
   std::uint64_t nextDue = 0;
@@ -1617,9 +1311,28 @@ std::uint64_t Worker::sweepReplication() {
         ++it;
       }
     }
+    for (auto& [corr, ps] : pendingSeeds_) {
+      if (ps.dueNanos > now) {
+        fold(ps.dueNanos);
+        continue;
+      }
+      if (ps.attempts >= cfg_.transferRetry.maxAttempts) {
+        failedSeeds.push_back(ps.shard);
+        continue;
+      }
+      ++ps.attempts;
+      ps.dueNanos =
+          now + retryDelayNanos(cfg_.transferRetry, ps.attempts, replRng_);
+      fold(ps.dueNanos);
+      resend.push_back(
+          {workerEndpoint(ps.member),
+           makeMessage(Op::kReplSeed, corr, workerEndpoint(id_), ps.payload)});
+      retriesSent_.inc();
+    }
     for (auto& [shard, epoch] : toDrop) {
       dropReleases.emplace_back();
-      dropChainLocked(shard, dropReleases.back());
+      dropChainLocked(shard, dropReleases.back(), /*fenced=*/false,
+                      &kNoSuccessors);
     }
     for (auto it = heldAcks_.begin(); it != heldAcks_.end();) {
       if (it->dueNanos <= now) {
@@ -1637,32 +1350,65 @@ std::uint64_t Worker::sweepReplication() {
                      std::move(dropReleases[i]));
   for (auto& h : dueHeld)
     releaseChainAcks(h.shard, h.epoch, std::move(h.acks));
+  // The recruit never confirmed its seed: tear the chain down rather than
+  // run it silently under-replicated (the manager re-recruits).
+  for (ShardId shard : failedSeeds) dropChain(shard);
   return nextDue;
 }
 
+void Worker::reportChainLocked(ChainState& cs, bool torn) {
+  if (cs.reportCorr == 0) return;
+  RecoverDone done;
+  done.ok = true;
+  done.info = std::move(cs.reportInfo);
+  if (!torn) done.info.replicas.assign(cs.chain.begin() + 1, cs.chain.end());
+  fabric_.send(cs.reportTo, makeMessage(Op::kReplReconfigAck, cs.reportCorr,
+                                        workerEndpoint(id_), done.encode()));
+  cs.reportCorr = 0;
+}
+
 void Worker::dropChainLocked(
-    ShardId shard, std::vector<std::shared_ptr<DeferredAck>>& release) {
+    ShardId shard, std::vector<std::shared_ptr<DeferredAck>>& release,
+    bool fenced, const std::vector<WorkerId>* successors) {
+  // Cancel a parked ack: remaining 0 keeps any other tail from sending
+  // it, and a retransmission is processed afresh (and refused: no slot).
+  auto cancel = [this](DeferredAck& d) {
+    d.remaining = 0;
+    std::lock_guard dlock(dedupMu_);  // replMu_ -> dedupMu_ is in order
+    inFlightMsgs_.erase(d.from + '#' + std::to_string(d.corr));
+  };
+  if (fenced) {
+    std::erase_if(heldAcks_, [&](HeldRelease& h) {
+      if (h.shard != shard) return false;
+      for (auto& d : h.acks) cancel(*d);
+      return true;
+    });
+  }
   auto it = chains_.find(shard);
   if (it == chains_.end()) return;
   ChainState& cs = it->second;
-  for (auto& [idx, e] : cs.window)
-    for (auto& d : e.clientAcks)
-      if (d->remaining > 0 && --d->remaining == 0) release.push_back(d);
+  for (auto& [idx, e] : cs.window) {
+    for (auto& d : e.clientAcks) {
+      if (d->remaining == 0) continue;
+      if (fenced)
+        cancel(*d);
+      else if (--d->remaining == 0)
+        release.push_back(d);
+    }
+  }
   if (!cs.window.empty()) replAbandoned_.inc(cs.window.size());
+  if (!fenced) reportChainLocked(cs, /*torn=*/true);
   // Fire-and-forget membership notices: former members drop their mirror
   // state (a lost notice is repaired by the next append/reconfig).
-  for (std::size_t i = 1; i < cs.chain.size(); ++i)
-    fabric_.send(workerEndpoint(cs.chain[i]),
-                 makeMessage(Op::kReplReconfig, 0, workerEndpoint(id_),
-                             ReplReconfig{shard, {id_}}.encode()));
-  std::vector<std::uint64_t> seedCorrs;
-  for (const auto& [corr, ps] : pendingSeeds_)
-    if (ps.shard == shard) seedCorrs.push_back(corr);
-  if (!seedCorrs.empty()) {
-    for (std::uint64_t corr : seedCorrs) pendingSeeds_.erase(corr);
-    std::lock_guard rlock(retryMu_);  // replMu_ -> retryMu_ is in order
-    for (std::uint64_t corr : seedCorrs) retryMap_.erase(corr);
-  }
+  for (std::size_t i = 1; successors != nullptr && i < cs.chain.size(); ++i)
+    if (std::find(successors->begin(), successors->end(), cs.chain[i]) ==
+        successors->end())
+      fabric_.send(workerEndpoint(cs.chain[i]),
+                   makeMessage(Op::kReplReconfig, 0, workerEndpoint(id_),
+                               ReplReconfig{shard, {id_}}.encode()));
+  std::erase_if(pendingSeeds_, [shard](const auto& entry) {
+    return entry.second.shard == shard;
+  });
   chains_.erase(it);
   chainsActive_.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -1675,7 +1421,7 @@ void Worker::dropChain(ShardId shard) {
     auto it = chains_.find(shard);
     if (it == chains_.end()) return;
     epoch = it->second.epoch;
-    dropChainLocked(shard, release);
+    dropChainLocked(shard, release, /*fenced=*/false, &kNoSuccessors);
   }
   releaseChainAcks(shard, epoch, std::move(release));
 }
@@ -1720,18 +1466,6 @@ void Worker::releaseChainAcks(ShardId shard, std::uint64_t epoch,
        nowNanos() + retryDelayNanos(cfg_.transferRetry, 1, replRng_)});
 }
 
-void Worker::replSeedFailed(std::uint64_t corr) {
-  ShardId shard = 0;
-  {
-    std::lock_guard lock(replMu_);
-    auto it = pendingSeeds_.find(corr);
-    if (it == pendingSeeds_.end()) return;
-    shard = it->second.shard;
-    pendingSeeds_.erase(it);
-  }
-  dropChain(shard);
-}
-
 void Worker::handleReplSeed(const Message& m) {
   ReplSeed seed;
   try {
@@ -1742,7 +1476,7 @@ void Worker::handleReplSeed(const Message& m) {
   {
     std::lock_guard lock(slotsMu_);
     Slot* slot = findSlot(seed.shard);
-    if (slot != nullptr && slot->shard && slot->movedTo == kNoWorker)
+    if (slot != nullptr && slot->shard)
       return;  // we host this shard live; refusing to also mirror it
   }
   std::shared_ptr<Shard> tree;
@@ -1795,15 +1529,16 @@ void Worker::handleReplSeed(const Message& m) {
 }
 
 void Worker::handleReplSeedAck(const Message& m) {
-  {
-    std::lock_guard lock(retryMu_);
-    retryMap_.erase(m.corr);  // stop retransmitting the seed
-  }
   std::lock_guard lock(replMu_);
   auto it = pendingSeeds_.find(m.corr);
   if (it == pendingSeeds_.end()) return;  // duplicate ack
   auto cit = chains_.find(it->second.shard);
-  if (cit != chains_.end()) cit->second.seeded.insert(it->second.member);
+  if (cit != chains_.end()) {
+    ChainState& cs = cit->second;
+    cs.seeded.insert(it->second.member);
+    if (cs.seeded.size() + 1 == cs.chain.size())
+      reportChainLocked(cs, /*torn=*/false);
+  }
   pendingSeeds_.erase(it);
 }
 
@@ -1815,101 +1550,122 @@ void Worker::handleReplReconfig(const Message& m) {
     return;
   }
   const bool fromManager = m.corr != 0;
-  auto report = [&](bool ok, ShardInfo info) {
-    if (!fromManager) return;
-    RecoverDone done;
-    done.ok = ok;
-    done.info = std::move(info);
-    fabric_.send(m.from, makeMessage(Op::kReplReconfigAck, m.corr,
-                                     workerEndpoint(id_), done.encode()));
-  };
-  const bool amPrimary = !req.chain.empty() && req.chain[0] == id_;
-  if (!amPrimary) {
-    bool member = false;
-    for (WorkerId w : req.chain) member |= w == id_;
-    if (!member) {
+  if (req.chain.empty() || req.chain[0] != id_) {
+    if (std::find(req.chain.begin(), req.chain.end(), id_) ==
+        req.chain.end()) {
       // Removed from the chain: drop the mirror. (Members keep their
       // state — fresh membership arrives with every append.)
       std::lock_guard lock(replMu_);
       replicaShards_.erase(req.shard);
     }
-    report(false, {});
+    // A handover names the shard's next owner: shed our slot if the store
+    // fenced it, and ack once we host nothing of the shard.
+    const bool released = fenceSlot(req.shard, &req.chain);
+    if (!fromManager) return;
+    RecoverDone done;
+    done.ok = released;
+    done.info.id = req.shard;
+    fabric_.send(m.from, makeMessage(Op::kReplReconfigAck, m.corr,
+                                     workerEndpoint(id_), done.encode()));
     return;
   }
-  if (durable_ == nullptr) {
-    report(false, {});  // chains replicate the WAL; no WAL, no chain
-    return;
-  }
-  Blob checkpoint;
-  Blob segment;
-  std::uint64_t epoch = 0;
-  ShardInfo info;
   bool haveSlot = false;
   bool hadOld = false;
   std::uint64_t oldEpoch = 0;
   std::vector<std::shared_ptr<DeferredAck>> release;
-  struct SeedSend {
-    WorkerId member = kNoWorker;
-    std::uint64_t corr = 0;
-  };
-  std::vector<SeedSend> seeds;
+  SharedBlob seedPayload;
+  std::vector<std::pair<WorkerId, std::uint64_t>> seeds;  // member, corr
   {
     std::lock_guard lock(slotsMu_);
     Slot* slot = findSlot(req.shard);
-    if (slot != nullptr && !slot->busy && slot->movedTo == kNoWorker &&
-        slot->shard) {
+    if (slot != nullptr && !slot->busy && slot->shard) {
       haveSlot = true;
-      // Drain in-flight inserts: every applied record either completed
-      // its replicateRecord (entry in the OLD chain, data in this
-      // snapshot) or never saw a chain — the snapshot plus appends with
-      // logIndex >= 1 on the new chain is exactly-once by construction.
+      const std::uint64_t epoch = slot->epoch;
+      ChainState order;
+      order.chain = req.chain;
+      order.epoch = epoch;
+      if (fromManager) {
+        order.reportTo = m.from;
+        order.reportCorr = m.corr;
+        order.reportInfo = {req.shard, id_, slot->shard->size(), epoch,
+                            slot->shard->boundingMds(), {}};
+      }
+      {
+        std::lock_guard rlock(replMu_);
+        auto old = chains_.find(req.shard);
+        if (old != chains_.end() && old->second.chain == req.chain &&
+            old->second.epoch == epoch) {
+          // A retransmitted order for the chain we already run: keep its
+          // seeds going and ack once they have all landed.
+          ChainState& cs = old->second;
+          cs.reportTo = std::move(order.reportTo);
+          cs.reportCorr = order.reportCorr;
+          cs.reportInfo = std::move(order.reportInfo);
+          if (cs.seeded.size() + 1 == cs.chain.size())
+            reportChainLocked(cs, /*torn=*/false);
+          return;
+        }
+      }
+      // Drain in-flight inserts (without replMu_: an insert holding a
+      // ticket may be waiting for it in replicateRecord): every applied
+      // record either completed its replicateRecord (entry in the OLD
+      // chain, data in this snapshot) or never saw a chain — the snapshot
+      // plus appends past startIndex on the new chain is exactly-once by
+      // construction.
       drainInserts(*slot->activeInserts);
-      TransferShard snap;
-      snap.shard = req.shard;
-      snap.epoch = slot->epoch;
-      snap.blob = slot->shard->serializeShard();
-      snap.splits = slot->splits;
-      checkpoint = snap.encode();
-      std::vector<WalRecord> tail = durable_->dedupTail(req.shard);
-      for (auto& rec : tail) rec.items.clear();
-      segment = encodeWalSegment(tail);
-      epoch = slot->epoch;
-      info = {req.shard, id_, slot->shard->size(), epoch,
-              slot->shard->boundingMds()};
+      // Log indices continue above every index an earlier chain of this
+      // shard used (each append also drew a corr), so a member kept from
+      // the old chain takes the new seed and drops the old chain's late
+      // appends as duplicates.
+      const std::uint64_t startIndex = nextCorr_.fetch_add(1);
+      if (req.chain.size() >= 2) {
+        TransferShard snap;
+        snap.shard = req.shard;
+        snap.epoch = epoch;
+        snap.blob = slot->shard->serializeShard();
+        snap.splits = slot->splits;
+        std::vector<WalRecord> tail = durable_.dedupTail(req.shard);
+        for (auto& rec : tail) rec.items.clear();
+        seedPayload = SharedBlob(ReplSeed{req.shard, epoch, startIndex,
+                                          req.chain, snap.encode(),
+                                          encodeWalSegment(tail)}
+                                     .encode());
+      }
       std::lock_guard rlock(replMu_);
       auto old = chains_.find(req.shard);
       if (old != chains_.end()) {
         hadOld = true;
         oldEpoch = old->second.epoch;
-        dropChainLocked(req.shard, release);
+        dropChainLocked(req.shard, release, /*fenced=*/false, &req.chain);
       }
-      if (req.chain.size() >= 2) {
-        ChainState cs;
-        cs.chain = req.chain;
-        cs.epoch = epoch;
-        cs.nextIndex = 1;
-        chains_.emplace(req.shard, std::move(cs));
-        chainsActive_.fetch_add(1, std::memory_order_acq_rel);
+      if (req.chain.size() < 2) {
+        reportChainLocked(order, /*torn=*/false);  // unreplicated: no seeds
+      } else {
+        order.nextIndex = startIndex + 1;
+        const std::uint64_t due =
+            nowNanos() + retryDelayNanos(cfg_.transferRetry, 1, replRng_);
         for (std::size_t i = 1; i < req.chain.size(); ++i) {
           const std::uint64_t corr = nextCorr_.fetch_add(1);
-          pendingSeeds_[corr] = {req.shard, req.chain[i]};
-          seeds.push_back({req.chain[i], corr});
+          pendingSeeds_[corr] = {req.shard, req.chain[i], seedPayload, 1, due};
+          seeds.emplace_back(req.chain[i], corr);
         }
-        info.replicas.assign(req.chain.begin() + 1, req.chain.end());
+        chains_.emplace(req.shard, std::move(order));
+        chainsActive_.fetch_add(1, std::memory_order_acq_rel);
       }
     }
   }
   if (hadOld) releaseChainAcks(req.shard, oldEpoch, std::move(release));
   if (!haveSlot) {
-    report(false, {});
+    if (!fromManager) return;
+    fabric_.send(m.from, makeMessage(Op::kReplReconfigAck, m.corr,
+                                     workerEndpoint(id_),
+                                     RecoverDone{}.encode()));  // ok = false
     return;
   }
-  const Blob seedPayload =
-      ReplSeed{req.shard, epoch, 0, req.chain, checkpoint, segment}.encode();
-  for (const auto& s : seeds)
-    sendWithRetry(workerEndpoint(s.member), Op::kReplSeed, s.corr,
-                  seedPayload, req.shard);
-  report(true, std::move(info));
+  for (const auto& [member, corr] : seeds)
+    fabric_.send(workerEndpoint(member),
+                 makeMessage(Op::kReplSeed, corr, workerEndpoint(id_),
+                             seedPayload));
 }
 
 void Worker::handleReplPromote(const Message& m) {
@@ -1929,7 +1685,7 @@ void Worker::handleReplPromote(const Message& m) {
     std::lock_guard lock(slotsMu_);
     Slot* existing = findSlot(req.shard);
     if (existing != nullptr && existing->shard &&
-        existing->movedTo == kNoWorker && existing->epoch >= req.epoch) {
+        existing->epoch >= req.epoch) {
       // Duplicate promote (our ack was lost): re-report the live slot.
       done.ok = true;
       done.info = {req.shard, id_,
@@ -1964,7 +1720,7 @@ void Worker::handleReplPromote(const Message& m) {
     slot.epoch = req.epoch;
     // The promotion checkpoint claims WAL ownership under the new epoch.
     // Failure means the supervisor re-fenced past us: stand down.
-    if (durable_ != nullptr && !checkpointSlotLocked(req.shard, slot)) {
+    if (!checkpointSlotLocked(req.shard, slot)) {
       fencedOps_.inc();
       report();  // ok = false
       return;
@@ -1986,7 +1742,7 @@ void Worker::pushStats() {
   {
     std::lock_guard lock(slotsMu_);
     for (const auto& [id, slot] : slots_) {
-      if (slot.movedTo != kNoWorker || !slot.shard) continue;
+      if (!slot.shard) continue;
       const std::uint64_t n =
           slot.shard->size() + (slot.queue ? slot.queue->size() : 0);
       stats.totalItems += n;
@@ -2001,17 +1757,19 @@ void Worker::pushStats() {
       shardInfos.emplace_back(id, std::move(info));
     }
   }
-  {
-    // The hosting primary is authoritative for chain membership: publish
-    // the current successor list (empty = unreplicated) with each push.
+  // The hosting primary is authoritative for chain membership: it
+  // publishes the seeded successors, in chain order (empty =
+  // unreplicated). A member still waiting for its seed holds nothing, so
+  // it may serve no replica read and is no promotion candidate.
+  const auto seededReplicas = [this](ShardId id) {
+    std::vector<WorkerId> out;
     std::lock_guard lock(replMu_);
-    for (auto& [id, info] : shardInfos) {
-      auto it = chains_.find(id);
-      if (it != chains_.end() && it->second.chain.size() >= 2)
-        info.replicas.assign(it->second.chain.begin() + 1,
-                             it->second.chain.end());
-    }
-  }
+    auto it = chains_.find(id);
+    if (it != chains_.end())
+      for (WorkerId w : it->second.chain)
+        if (it->second.seeded.count(w) != 0) out.push_back(w);
+    return out;
+  };
   ByteWriter w;
   stats.serialize(w);
   if (!zk_.set(workerPath(id_), w.data()).has_value())
@@ -2027,9 +1785,15 @@ void Worker::pushStats() {
   // CAS-merge per-shard count/box into the system image (SIII-B: workers
   // update shard statistics periodically for the manager).
   std::vector<ShardId> fenced;
-  for (const auto& [id, info] : shardInfos) {
+  for (auto& [id, info] : shardInfos) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       auto cur = zk_.get(shardPath(id));
+      // Read the chain after the get: a teardown whose image gate
+      // (clearChainInImage) cleared the replicas since then makes the CAS
+      // below fail, and the retry reads the dropped chain. A push read
+      // earlier would put back members the gate cleared — members that
+      // lack acks the gate released.
+      info.replicas = seededReplicas(id);
       if (!cur.has_value()) {
         // The registration (e.g. a SplitDone) got lost before it reached
         // the keeper: this worker owns the shard, so it repairs the image.

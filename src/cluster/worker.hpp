@@ -1,24 +1,24 @@
 // Worker node (paper SIII-A/E): stores shards, executes insert / aggregate
 // query streams on a small thread pool, publishes shard statistics to the
-// keeper, and carries out the manager's split and migration plans using the
-// mapping-table + insertion-queue scheme of SIII-E, so queries are never
-// interrupted while a shard is being split or moved.
+// keeper, and carries out the manager's split plans using the mapping-table
+// + insertion-queue scheme of SIII-E, so queries are never interrupted
+// while a shard is being split. A shard moves as a chain handover instead
+// (the manager appends the target to the shard's replication chain, fences,
+// then promotes it; see Manager), so no transfer protocol lives here.
 //
 // Fault tolerance: the server retransmits lost requests with the same
 // correlation id, so workers deduplicate by (sender, corr) — apply once,
-// re-ack from a bounded replay cache. Worker-to-worker transfers (migration
-// and bulk forwarding) carry their own retry budget; an exhausted shard
-// transfer aborts the migration and rolls the shard back. Each worker also
-// heartbeats a liveness znode so the manager can avoid dead migration
-// targets.
+// re-ack from a bounded replay cache. Chain seeds carry their own retry
+// budget. Each worker also heartbeats a liveness znode so the manager can
+// avoid dead move targets.
 //
-// Durability & fencing: when wired to a DurableLog, every applied insert is
-// appended to the shard's WAL *before* its ack goes out, and each shard is
-// periodically checkpointed (kTransferShard format) with WAL truncation —
+// Durability & fencing: every applied insert is appended to the shard's WAL
+// in the cluster's DurableLog *before* its ack goes out, and each shard is
+// periodically checkpointed (TransferShard format) with WAL truncation —
 // so a crashed worker's shards can be restored elsewhere with zero lost
-// acknowledged inserts. Slots carry a fencing epoch: once the recovery
-// supervisor seals the durable store (epoch bump), this worker's appends
-// fail, it stops acking, and it sheds the fenced slot.
+// acknowledged inserts. Slots carry a fencing epoch: once the manager seals
+// the durable store (epoch bump: recovery or a move's handover), this
+// worker's appends fail, it stops acking, and it sheds the fenced slot.
 #pragma once
 
 #include <atomic>
@@ -51,10 +51,9 @@ struct WorkerConfig {
   std::uint64_t statsIntervalNanos = 500'000'000;  // stats push cadence
   /// Checkpoint cadence: each interval, every idle shard is serialized into
   /// the durable store and its WAL truncated. Bounds both recovery-payload
-  /// size and WAL memory. Ignored without a DurableLog.
+  /// size and WAL memory.
   std::uint64_t checkpointIntervalNanos = 1'000'000'000;
-  /// Retry budget for worker-to-worker traffic (shard transfers, queued
-  /// migration items, forwarded bulk batches).
+  /// Retry budget for worker-to-worker traffic (chain seeds and appends).
   RetryPolicy transferRetry{100'000'000, 1'000'000'000, 10'000'000, 1.6, 6};
   /// Replica-read staleness bound: a replica serves a query from its local
   /// copy only if its chain feed is contiguous and the last applied entry's
@@ -66,7 +65,7 @@ struct WorkerConfig {
 class Worker {
  public:
   Worker(Fabric& fabric, const Schema& schema, WorkerId id,
-         WorkerConfig cfg = WorkerConfig(), DurableLog* durable = nullptr);
+         DurableLog& durable, WorkerConfig cfg = WorkerConfig());
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -101,10 +100,7 @@ class Worker {
   // Fault-tolerance counters.
   std::uint64_t redelivered() const { return redelivered_.value(); }
   std::uint64_t retriesSent() const { return retriesSent_.value(); }
-  std::uint64_t forwardsLost() const { return forwardsLost_.value(); }
-  std::uint64_t migrationsAborted() const {
-    return migrationsAborted_.value();
-  }
+  /// Chain seeds still waiting for their ack (each rides a retry budget).
   std::size_t retryEntries() const;
 
   // Durability / recovery counters.
@@ -139,52 +135,28 @@ class Worker {
   MetricsRegistry& metrics() { return metrics_; }
   /// Group-commit batching diagnostics: appendGroup calls / records they
   /// carried. records/groups > 1 means WAL lock acquisitions were folded.
-  std::uint64_t groupCommitGroups() const {
-    return groupCommit_ ? groupCommit_->groups() : 0;
-  }
-  std::uint64_t groupCommitRecords() const {
-    return groupCommit_ ? groupCommit_->records() : 0;
-  }
+  std::uint64_t groupCommitGroups() const { return groupCommit_.groups(); }
+  std::uint64_t groupCommitRecords() const { return groupCommit_.records(); }
 
  private:
-  /// One shard's slot, including the in-flight split/migration overlay of
-  /// SIII-E: while `busy`, new items land in `queue` and queries consult
-  /// shard + queue; `movedTo` is the forwarding stub left after migration;
-  /// `splitRight`/`splitPlane` form the mapping-table entry M_j.
+  /// One shard's slot, including the in-flight split overlay of SIII-E:
+  /// while `busy`, new items land in `queue` and queries consult shard +
+  /// queue; `splits` is the mapping-table entry M_j.
   struct Slot {
     std::shared_ptr<Shard> shard;
     std::shared_ptr<Shard> queue;  // only while busy
     bool busy = false;
-    WorkerId movedTo = kNoWorker;
     /// Fencing epoch this slot is hosted under. WAL appends carry it; the
-    /// recovery supervisor bumps the durable epoch past it on takeover.
+    /// manager bumps the durable epoch past it on takeover or handover.
     std::uint64_t epoch = 0;
     /// Mapping-table entry M_j (SIII-E), in split order: each split of
     /// this shard appended (hyperplane, right-child id). Resolution tests
     /// the planes in order; a shard split k times has k entries.
     std::vector<std::pair<Hyperplane, ShardId>> splits;
-    /// Inserts in flight against shard/queue; split and migration commits
-    /// wait for this to drain before collecting (see worker.cpp).
+    /// Inserts in flight against shard/queue; split commits, snapshots and
+    /// fencing wait for this to drain (see worker.cpp).
     std::shared_ptr<std::atomic<std::uint32_t>> activeInserts =
         std::make_shared<std::atomic<std::uint32_t>>(0);
-  };
-
-  struct PendingMigration {
-    WorkerId dest = kNoWorker;
-    std::string managerEp;
-    std::uint64_t managerCorr = 0;
-  };
-
-  /// Retransmission state for one worker-to-worker request. The payload is
-  /// a shared immutable blob: the wire send and every retransmission read
-  /// the same allocation instead of each copying it.
-  struct WireRetry {
-    std::string dest;
-    Op op = Op::kTransferShard;
-    SharedBlob payload;
-    unsigned attempts = 1;
-    std::uint64_t dueNanos = 0;
-    ShardId shard = 0;  // for kTransferShard: which migration to abort
   };
 
   /// Sum of `count(shard)` over every shard held, primary and replica.
@@ -197,9 +169,6 @@ class Worker {
   void handleBulk(const Message& m);
   void handleCreateShard(const Message& m);
   void handleSplitShard(const Message& m);
-  void handleMigrateShard(const Message& m);
-  void handleTransferShard(const Message& m);
-  void handleTransferAck(const Message& m);
   void handleRecoverShard(const Message& m);
   void pushStats();
 
@@ -220,16 +189,24 @@ class Worker {
   void handleReplSeedAck(const Message& m);
   void handleReplReconfig(const Message& m);
   void handleReplPromote(const Message& m);
-  /// Retransmit overdue chain appends; tear down chains whose successor
-  /// exhausted the budget. Returns the earliest due time (0 if none).
+  /// Retransmit overdue chain appends and seeds; tear down chains whose
+  /// successor exhausted the budget, or a recruit its seed's (the whole
+  /// chain goes — a partial one would under-replicate silently). Returns
+  /// the earliest due time (0 if none).
   std::uint64_t sweepReplication();
-  /// Tear down the primary-side chain for `shard`, releasing every parked
-  /// client ack (safe: entries are locally applied and WAL-durable) and
-  /// notifying former members. Caller holds replMu_. Acks to release are
-  /// appended to `release` for sending outside the lock.
+  /// Tear down the primary-side chain for `shard`. Caller holds replMu_.
+  /// Former members absent from `*successors` get a drop notice (nullptr:
+  /// nobody is notified). Unfenced: every parked client ack is appended to
+  /// `release` (safe: entries are locally applied and WAL-durable) for
+  /// sending outside the lock through the image gate, and a pending
+  /// manager reconfig is acked with no replicas. Fenced (the durable store
+  /// moved past the chain): parked acks are cancelled, never sent — the
+  /// shard's next owner answers their retransmissions.
   void dropChainLocked(ShardId shard,
-                       std::vector<std::shared_ptr<DeferredAck>>& release);
-  /// Convenience wrapper: lock replMu_, drop, then run the gated release.
+                       std::vector<std::shared_ptr<DeferredAck>>& release,
+                       bool fenced, const std::vector<WorkerId>* successors);
+  /// Convenience wrapper for an unfenced drop: lock replMu_, drop (every
+  /// member notified), then run the gated release.
   void dropChain(ShardId shard);
   /// Gated release of acks parked on a torn-down chain. Releasing an ack
   /// whose entry never reached the tail is only safe once no one can
@@ -244,10 +221,10 @@ class Worker {
   /// absent, replicas already empty, epoch moved past `epoch` — servers
   /// reject stale-epoch insert acks — or our CAS cleared the replicas).
   bool clearChainInImage(ShardId shard, std::uint64_t epoch);
-  /// A kReplSeed retransmission budget ran out: remove the member from the
-  /// chain (drop the whole chain — a partial chain would under-replicate
-  /// silently).
-  void replSeedFailed(std::uint64_t corr);
+  /// Ack the manager's kReplReconfig for `cs` (if one is pending) with the
+  /// chain's replicas, or with none when `torn` — the chain was dropped
+  /// before every member was seeded. Caller holds replMu_.
+  void reportChainLocked(ChainState& cs, bool torn);
   /// Complete a deferred client ack whose last tail confirmation arrived:
   /// clears the in-flight marker, seeds the replay cache, sends the ack.
   void completeDeferred(const std::shared_ptr<DeferredAck>& d);
@@ -259,9 +236,16 @@ class Worker {
   /// Checkpoint one slot. Caller holds slotsMu_ with the slot's inserts
   /// drained (or otherwise quiesced). Returns false if fenced.
   bool checkpointSlotLocked(ShardId id, const Slot& slot);
-  /// Shed a slot this worker has been fenced out of (skips busy slots; the
-  /// split/migration in flight will fail its own appends).
-  void fenceSlot(ShardId id);
+  /// Shed the slot for `id` if the durable store fenced it (its epoch is
+  /// above the slot's): wait out the slot's in-flight inserts, drop it,
+  /// then drop its chain fenced — no parked ack is ever sent. Only a
+  /// handover names the `successors` (see dropChainLocked); fencing found
+  /// on our own notifies nobody, since a notice to the member a promotion
+  /// is about to claim would erase its mirror. Skips busy slots: the split
+  /// in flight fails its own appends. Returns true when this worker no
+  /// longer hosts `id`.
+  bool fenceSlot(ShardId id,
+                 const std::vector<WorkerId>* successors = nullptr);
 
   /// Redelivery dedup: true if this (sender, corr) is new and the caller
   /// should process it; false if it was replayed from cache or is still
@@ -274,27 +258,17 @@ class Worker {
   /// follows the first successful attempt only.)
   void completeRequest(const Message& m, Op ackOp, Blob ackPayload,
                        std::vector<TraceHop> hops = {});
-  /// Forwarded elsewhere or intentionally unacked: forget the in-flight
-  /// marker so a retransmission is processed (e.g. re-forwarded) again.
+  /// Intentionally unacked: forget the in-flight marker so a
+  /// retransmission is processed again.
   void abandonRequest(const Message& m);
   /// Seed the replay cache from logged requests of a shard this worker now
-  /// holds under `epoch` (migration install, crash recovery, promotion), so
+  /// holds under `epoch` (crash recovery, promotion), so
   /// a retransmission of an already-applied request is re-acked, never
   /// re-applied. Bulk acks are re-stamped with `epoch`. `Records` is any
   /// container of WalRecord (a WAL vector, a replica's log deque).
   template <typename Records>
   void seedReplayCache(ShardId shard, std::uint64_t epoch,
                        const Records& recs);
-
-  /// Register a worker-to-worker request for retransmission and send it.
-  void sendWithRetry(const std::string& dest, Op op, std::uint64_t corr,
-                     Blob payload, ShardId shard);
-  /// Retransmit overdue entries; abort/forget exhausted ones.
-  void sweepRetries();
-  std::uint64_t nextWakeNanos(std::uint64_t nextTimer);
-  /// Roll an in-flight migration back (transfer budget exhausted): merge
-  /// the insertion queue into the shard and report failure to the manager.
-  void abortMigration(ShardId id);
 
   /// Resolve a shard id to the concrete structures to insert into or query,
   /// following the mapping table. Caller holds slotsMu_.
@@ -308,26 +282,28 @@ class Worker {
   const Schema& schema_;
   const WorkerId id_;
   const WorkerConfig cfg_;
-  DurableLog* const durable_;  // nullable: durability off
-  /// Group commit over durable_ (present iff durable_ is): concurrent
-  /// same-shard WAL appends fold into one lock acquisition (see
-  /// common/group_commit.hpp).
-  std::unique_ptr<GroupCommit> groupCommit_;
+  DurableLog& durable_;
+  /// Group commit over durable_: concurrent same-shard WAL appends fold
+  /// into one lock acquisition (see common/group_commit.hpp).
+  GroupCommit groupCommit_;
   std::shared_ptr<Mailbox> inbox_;
   KeeperClient zk_;
   mutable std::mutex slotsMu_;
   std::map<ShardId, Slot> slots_;
-  std::map<ShardId, PendingMigration> pendingMigrations_;
 
   /// Chain replication state. Primary-side chains for hosted shards, the
   /// replica copies this worker mirrors for other primaries, and seeds in
-  /// flight (corr -> which member a kReplSeed is catching up).
+  /// flight (corr -> which member a kReplSeed is catching up, with its
+  /// retransmission state).
   mutable std::mutex replMu_;
   std::map<ShardId, ChainState> chains_;
   std::map<ShardId, ReplicaShard> replicaShards_;
   struct PendingSeed {
     ShardId shard = 0;
     WorkerId member = kNoWorker;
+    SharedBlob payload;  // the encoded ReplSeed, shared by every member
+    unsigned attempts = 1;
+    std::uint64_t dueNanos = 0;
   };
   std::unordered_map<std::uint64_t, PendingSeed> pendingSeeds_;
   /// Parked ack releases whose image gate has not concluded yet (see
@@ -344,15 +320,12 @@ class Worker {
   /// when nothing on this worker is replicated — the R=1 configuration
   /// costs one relaxed atomic load per request.
   std::atomic<std::uint32_t> chainsActive_{0};
-  Rng replRng_;  // guarded by replMu_ (retry jitter for chain appends)
+  Rng replRng_;  // guarded by replMu_ (retry jitter for chain traffic)
 
   std::mutex dedupMu_;
   DedupCache replay_;
   std::unordered_set<std::string> inFlightMsgs_;
 
-  mutable std::mutex retryMu_;
-  std::unordered_map<std::uint64_t, WireRetry> retryMap_;
-  Rng rng_;  // guarded by retryMu_
   std::atomic<std::uint64_t> nextCorr_{1};
 
   // One registry backs every observable number on this worker; the legacy
@@ -365,8 +338,6 @@ class Worker {
   Counter& rejectedBatches_;
   Counter& redelivered_;
   Counter& retriesSent_;
-  Counter& forwardsLost_;
-  Counter& migrationsAborted_;
   Counter& fencedOps_;
   Counter& fencedShards_;
   Counter& recovered_;

@@ -113,7 +113,7 @@ inline WalSegmentOpen openWalSegment(const Blob& segment) {
 struct DurableSnapshot {
   std::uint64_t epoch = 0;  // the NEW epoch; the previous owner is fenced out
   std::uint32_t owner = 0;  // last owner to checkpoint
-  Blob checkpoint;          // kTransferShard-format blob (may be empty)
+  Blob checkpoint;          // TransferShard-format blob (may be empty)
   std::vector<WalRecord> wal;  // records appended since that checkpoint
   /// Dedup identities of records older checkpoints truncated (items
   /// empty). The restorer seeds its replay cache from these too, so a
@@ -256,11 +256,12 @@ class DurableLog {
 
   /// Every dedup identity the store knows for this shard — the applied
   /// index (checkpointed-away records, items empty) followed by the live
-  /// WAL tail — without fencing. A migration target seeds its replay
-  /// cache from this (records carry the original (from, corr) and ack)
-  /// so a sender retransmitting a request the OLD owner applied — ack
-  /// lost in flight — gets the ack replayed instead of a double apply,
-  /// exactly as crash recovery does with the fence snapshot.
+  /// WAL tail — without fencing. A new chain member receives it with its
+  /// seed and, once promoted, seeds its replay cache from it (records
+  /// carry the original (from, corr) and ack), so a sender retransmitting
+  /// a request the OLD owner applied — ack lost in flight — gets the ack
+  /// replayed instead of a double apply, exactly as crash recovery does
+  /// with the fence snapshot.
   std::vector<WalRecord> dedupTail(std::uint64_t shard) const {
     std::lock_guard lock(mu_);
     auto it = recs_.find(shard);

@@ -106,9 +106,12 @@ struct ReplAck {
 };
 
 /// kReplSeed: full state transfer to a new chain member. `checkpoint` is a
-/// TransferShard-format blob (same format as migration and the durable
-/// store); `segment` is the dedup tail framed by encodeWalSegment so the
-/// receiver CRC-verifies it. Appends with logIndex > startIndex follow.
+/// TransferShard-format blob (the durable store's checkpoint format);
+/// `segment` is the dedup tail framed by encodeWalSegment so the receiver
+/// CRC-verifies it. Appends with logIndex > startIndex follow. A primary's
+/// log indices for a shard keep rising across chain rebuilds, so a member
+/// kept in a rebuilt chain takes the new seed, and an append of the old
+/// chain that arrives late is a duplicate, never a second apply.
 struct ReplSeed {
   ShardId shard = 0;
   std::uint64_t epoch = 0;
@@ -164,9 +167,13 @@ struct ReplSeedAck {
 };
 
 /// kReplReconfig: the manager (corr != 0, under lease, expects
-/// kReplReconfigAck) tells a primary to run this chain; sent with corr == 0
-/// it is a fire-and-forget membership notice — a receiver absent from
-/// `chain` discards its replica state for the shard.
+/// kReplReconfigAck) tells a primary to run this chain; the ack goes out
+/// once every new member has installed its seed, so the image never lists
+/// a replica that holds nothing. Sent to the owner of a fenced shard with
+/// a chain that does not start with it, it is a handover: the owner sheds
+/// the shard (see Worker::fenceSlot) and acks. Sent with corr == 0 it is a
+/// fire-and-forget membership notice — a receiver absent from `chain`
+/// discards its replica state for the shard.
 struct ReplReconfig {
   ShardId shard = 0;
   std::vector<WorkerId> chain;  // full chain, primary at [0]
@@ -254,6 +261,11 @@ struct ChainState {
   std::uint64_t nextIndex = 1;   // next logIndex to assign
   std::map<std::uint64_t, ReplOutEntry> window;  // logIndex -> un-acked
   std::set<WorkerId> seeded;     // members whose seed was acked
+  /// The manager's kReplReconfig, acked once every member is seeded
+  /// (reportCorr == 0: nothing to ack).
+  std::string reportTo;
+  std::uint64_t reportCorr = 0;
+  ShardInfo reportInfo;
 };
 
 /// Replica-side state for one shard this worker mirrors but does not own.

@@ -22,10 +22,9 @@ VolapCluster::VolapCluster(const Schema& schema, ClusterOptions opts)
   bootZk_->create(serversPath(), {});
   bootZk_->create(alivesPath(), {});
 
-  DurableLog* const durable = opts_.durability ? &durable_ : nullptr;
   for (unsigned w = 0; w < opts_.workers; ++w)
     workers_.push_back(std::make_unique<Worker>(*fabric_, schema_, w,
-                                                opts_.worker, durable));
+                                                durable_, opts_.worker));
 
   // Seed every worker with empty shards so the first inserts have routing
   // targets; boxes start empty and grow with the data.
@@ -56,7 +55,7 @@ VolapCluster::VolapCluster(const Schema& schema, ClusterOptions opts)
                                                 opts_.server));
 
   manager_ = std::make_unique<Manager>(*fabric_, schema_, opts_.manager,
-                                       nextShardId_, durable);
+                                       nextShardId_, durable_);
 }
 
 VolapCluster::~VolapCluster() {
@@ -88,9 +87,8 @@ std::unique_ptr<Client> VolapCluster::makeClient(const std::string& name,
 
 WorkerId VolapCluster::addWorker() {
   const WorkerId id = static_cast<WorkerId>(workers_.size());
-  workers_.push_back(std::make_unique<Worker>(
-      *fabric_, schema_, id, opts_.worker,
-      opts_.durability ? &durable_ : nullptr));
+  workers_.push_back(std::make_unique<Worker>(*fabric_, schema_, id,
+                                              durable_, opts_.worker));
   return id;
 }
 

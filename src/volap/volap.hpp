@@ -44,11 +44,6 @@ struct ClusterOptions {
   /// timestamps (0 = tracing off). The default keeps the per-hop stamp
   /// cost to ~3% of requests while still filling the stage histograms.
   unsigned traceSampleEveryN = 32;
-  /// Wire every worker and the manager to a shared DurableLog (the
-  /// in-process "disk"): inserts are write-ahead logged before their acks,
-  /// shards are checkpointed periodically, and the manager re-hosts a
-  /// crashed worker's shards from the log with epoch fencing.
-  bool durability = true;
 };
 
 class VolapCluster {
@@ -70,14 +65,16 @@ class VolapCluster {
   WorkerId addWorker();
 
   /// Hard-crash worker `i` (see Worker::crash): its endpoints unbind, its
-  /// threads stop, all in-memory state is lost. With durability on, the
-  /// manager's recovery supervisor re-hosts its shards from the DurableLog
-  /// onto the survivors. The Worker object stays in place (stopped) so
+  /// threads stop, all in-memory state is lost. The manager's recovery
+  /// supervisor re-hosts its shards from the DurableLog onto the
+  /// survivors. The Worker object stays in place (stopped) so
   /// indices remain stable. Idempotent.
   void crashWorker(unsigned i) { workers_[i]->crash(); }
 
   /// The cluster's durable store (the simulated disk shared by workers and
-  /// the recovery supervisor).
+  /// the manager): inserts are write-ahead logged before their acks,
+  /// shards are checkpointed periodically, and the manager fences it to
+  /// re-host a crashed worker's shards or to hand a shard over.
   DurableLog& durable() { return durable_; }
 
   unsigned serverCount() const {
@@ -105,8 +102,8 @@ class VolapCluster {
  private:
   const Schema& schema_;
   ClusterOptions opts_;
-  // Declared before the fabric and nodes: workers and the manager hold raw
-  // pointers into it, so it must outlive them all (like a disk would).
+  // Declared before the fabric and nodes: workers and the manager hold
+  // references to it, so it must outlive them all (like a disk would).
   DurableLog durable_;
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<KeeperServer> keeper_;

@@ -335,14 +335,18 @@ TEST(Chaos, DeadWorkerIsNotChosenAsMigrationTarget) {
   ManagerConfig cfg;
   cfg.periodNanos = 30'000'000;
   cfg.minImbalanceItems = 100;
-  Manager manager(fabric, schema, cfg, /*firstShardId=*/100);
+  cfg.replicationFactor = 1;  // no chain repair: only the move's step
+  DurableLog durable;
+  Manager manager(fabric, schema, cfg, /*firstShardId=*/100, durable);
 
+  // A move starts by appending its target to the shard's chain.
   auto cmd = heavyBox->recvFor(5000ms);
   ASSERT_TRUE(cmd.has_value());
-  ASSERT_EQ(cmd->type, static_cast<std::uint16_t>(Op::kMigrateShard));
-  const MigrateShard req = MigrateShard::decode(cmd->payload);
+  ASSERT_EQ(cmd->type, static_cast<std::uint16_t>(Op::kReplReconfig));
+  const ReplReconfig req = ReplReconfig::decode(cmd->payload);
   EXPECT_EQ(req.shard, 7u);
-  EXPECT_EQ(req.dest, 3u) << "stale-heartbeat worker chosen as target";
+  ASSERT_FALSE(req.chain.empty());
+  EXPECT_EQ(req.chain.back(), 3u) << "stale-heartbeat worker chosen as target";
   manager.stop();
 }
 

@@ -386,11 +386,12 @@ TEST(Cluster, ManyServerThreadsShareTheImageSafely) {
 TEST(Cluster, ManagerLeaseExpiryIgnoresLateAndDuplicateDones) {
   // Hand-built image: worker 1 is heavy but is only a fake mailbox that
   // swallows commands, worker 3 is an empty live target. The balancer's
-  // migrate op can therefore never complete — its lease must expire, and a
-  // Done that straggles in (or arrives twice) after the write-off must be
+  // move can therefore never complete — its lease must expire, and an ack
+  // that straggles in (or arrives twice) after the write-off must be
   // ignored rather than double counted or pushed below zero in flight.
   const Schema schema = Schema::tpcds();
   Fabric fabric;
+  DurableLog durable;
   KeeperServer keeper(fabric);
   KeeperClient zk(fabric, "setup");
   zk.create("/volap", {});
@@ -425,11 +426,16 @@ TEST(Cluster, ManagerLeaseExpiryIgnoresLateAndDuplicateDones) {
   cfg.periodNanos = 30'000'000;
   cfg.minImbalanceItems = 100;
   cfg.opLeaseNanos = 200'000'000;  // 200ms lease
-  Manager manager(fabric, schema, cfg, /*firstShardId=*/100);
+  cfg.replicationFactor = 1;       // no chain repair: only the move's step
+  Manager manager(fabric, schema, cfg, /*firstShardId=*/100, durable);
 
+  // Step 1 of the move: append the target to the shard's chain.
   auto cmd = heavyBox->recvFor(5000ms);
   ASSERT_TRUE(cmd.has_value());
-  ASSERT_EQ(cmd->type, static_cast<std::uint16_t>(Op::kMigrateShard));
+  ASSERT_EQ(cmd->type, static_cast<std::uint16_t>(Op::kReplReconfig));
+  const ReplReconfig order = ReplReconfig::decode(cmd->payload);
+  EXPECT_EQ(order.shard, 7u);
+  EXPECT_EQ(order.chain, (std::vector<WorkerId>{1, 3}));
   const std::uint64_t corr = cmd->corr;
   EXPECT_GE(manager.opsInFlight(), 1u);
 
@@ -439,14 +445,15 @@ TEST(Cluster, ManagerLeaseExpiryIgnoresLateAndDuplicateDones) {
   ASSERT_TRUE(eventually([&] { return manager.opsInFlight() == 0; }));
   const std::uint64_t timedOut = manager.opsTimedOut();
 
-  // The "worker" reports success twice, after the write-off.
-  MigrateDone done;
+  // The "worker" reports the chain seeded twice, after the write-off.
+  RecoverDone done;
   done.ok = true;
-  done.shard = 7;
-  done.dest = 3;
+  done.info.id = 7;
+  done.info.worker = 1;
+  done.info.replicas = {3};
   for (int i = 0; i < 2; ++i)
     fabric.send(managerEndpoint(),
-                makeMessage(Op::kMigrateDone, corr, workerEndpoint(1),
+                makeMessage(Op::kReplReconfigAck, corr, workerEndpoint(1),
                             done.encode()));
   std::this_thread::sleep_for(100ms);
   EXPECT_EQ(manager.migrationsDone(), 0u);

@@ -8,11 +8,17 @@
 // keeps serving. Replica-aware reads scatter query chunks across chain
 // members and stay exact: a stale replica redirects back to the primary,
 // and after a drain the tail-gated ack rule guarantees replicas hold every
-// acked item.
+// acked item. A chain is published only once its members hold their
+// seeds, so a lost seed never routes a replica read to an empty member.
+// Moving a shard is a chain handover (append the target, fence, shed,
+// promote); killing the old owner in the middle of one must lose nothing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +26,8 @@
 #include "common/clock.hpp"
 #include "net/fault.hpp"
 #include "olap/data_gen.hpp"
+#include "olap/query_gen.hpp"
+#include "tree/array_shard.hpp"
 #include "volap/volap.hpp"
 
 namespace volap {
@@ -324,6 +332,224 @@ TEST(Failover, ReplicaReadsServeExactAnswersOrRedirect) {
   for (unsigned w = 0; w < cluster.workerCount(); ++w)
     workerReplicaReads += cluster.worker(w).replReads();
   EXPECT_GT(workerReplicaReads, 0u);
+}
+
+TEST(Failover, LostSeedsNeverMakeQueriesPartial) {
+  // Every worker->worker message — kReplSeed included — is lost from the
+  // moment the manager orders the first chains until ~300 ms after a seed
+  // was seen retransmitted. Replica reads stay on throughout. A member
+  // whose seed has not landed holds nothing and would answer not-mine, so
+  // no server may route a read to it: no query comes back partial.
+  const Schema schema = Schema::tpcds();
+  VolapCluster cluster(schema, failoverOptions());
+  cluster.fabric().addFaultRule({"worker/", "worker/", 1.0});
+  std::vector<std::unique_ptr<Client>> clients;
+  for (unsigned s = 0; s < cluster.serverCount(); ++s)
+    clients.push_back(cluster.makeClient("c" + std::to_string(s),
+                                         static_cast<int>(s)));
+  DataGenerator gen(schema, 4242);
+  const int kN = 400;
+  for (int i = 0; i < kN; ++i) clients[0]->insertAsync(gen.next());
+  const auto seedRetries = [&] {
+    std::uint64_t n = 0;
+    for (unsigned w = 0; w < cluster.workerCount(); ++w)
+      n += cluster.worker(w).retriesSent();
+    return n;
+  };
+  ASSERT_TRUE(eventually([&] { return seedRetries() > 0; }));
+  const auto healAt = std::chrono::steady_clock::now() + 300ms;
+  const auto giveUp = std::chrono::steady_clock::now() + 15s;
+  bool healed = false;
+  int queries = 0;
+  std::uint64_t workerReplicaReads = 0;
+  while (std::chrono::steady_clock::now() < giveUp) {
+    if (!healed && std::chrono::steady_clock::now() >= healAt) {
+      cluster.fabric().clearFaultRules();
+      healed = true;
+    }
+    for (auto& c : clients) {
+      const QueryReply r = c->query(QueryBox(schema));
+      ++queries;
+      ASSERT_FALSE(r.partial) << "query " << queries << " came back partial ("
+                              << r.unreachableShards << " shards unreachable)";
+    }
+    workerReplicaReads = 0;
+    for (unsigned w = 0; w < cluster.workerCount(); ++w)
+      workerReplicaReads += cluster.worker(w).replReads();
+    if (healed && allChained(cluster, 8) && workerReplicaReads > 0) break;
+  }
+  ASSERT_TRUE(healed);
+  EXPECT_TRUE(allChained(cluster, 8));
+  EXPECT_GT(workerReplicaReads, 0u) << "no replica read ran after the heal";
+  clients[0]->drain();
+  EXPECT_EQ(clients[0]->insertsAcked(), static_cast<std::uint64_t>(kN));
+  for (auto& c : clients) {
+    const QueryReply r = c->query(QueryBox(schema));
+    EXPECT_FALSE(r.partial);
+    EXPECT_EQ(r.agg.count, static_cast<std::uint64_t>(kN));
+  }
+}
+
+TEST(Failover, OwnerKilledMidHandoverLosesNothing) {
+  // A shard moves as a chain handover: append the target to the chain,
+  // fence, the owner sheds the shard, promote the target. Kill the owner
+  // right after the fence — before the promotion, while a pipelined 70/30
+  // stream runs through both servers under message loss. The dead-owner
+  // path must take over, and once the manager is quiet every server must
+  // answer the whole database and one query per coverage band exactly.
+  constexpr std::uint64_t kSeed = 9091;
+  SCOPED_TRACE("seed " + std::to_string(kSeed));
+  const Schema schema = Schema::tpcds();
+  ClusterOptions opts = failoverOptions();
+  opts.net.seed = kSeed;
+  // Four shards per worker keep every shard small enough to move without
+  // a split, and one balancing op at a time makes the first op a move.
+  opts.initialShardsPerWorker = 4;
+  opts.manager.maxConcurrentOps = 1;
+  opts.manager.minImbalanceItems = 100;
+  // Every hop takes 1 ms, so the owner dies while the manager's release
+  // (step 4) is still in flight toward it: the kill lands between the
+  // fence and the promotion, never after the owner shed the shard.
+  opts.net.latencyMeanNanos = 1'000'000;
+  // Slower hops stretch detection and promotion (keeper round trips
+  // included), so the clients' budget must outlast both even under a
+  // sanitizer: ~10 s instead of ~3.5 s.
+  opts.clientRetry.maxAttempts = 30;
+  VolapCluster cluster(schema, opts);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (unsigned s = 0; s < cluster.serverCount(); ++s)
+    clients.push_back(cluster.makeClient("c" + std::to_string(s),
+                                         static_cast<int>(s)));
+  // Skewed like the benchmark's data, so every coverage band has queries.
+  DataGenOptions skewed;
+  skewed.zipfSkew = 1.1;
+  DataGenerator gen(schema, kSeed, skewed);
+  ArrayShard oracle(schema);
+  PointSet inserted(schema.dims());
+  std::uint64_t op = 0;
+  const auto insertOne = [&] {
+    const PointRef p = gen.next();
+    oracle.insert(p);
+    inserted.push(p);
+    clients[op++ % clients.size()]->insertAsync(p);
+  };
+  for (int i = 0; i < 2000; ++i) insertOne();
+  for (auto& c : clients) c->drain();
+  ASSERT_TRUE(eventually([&] { return allChained(cluster, 16); }, 10000ms));
+
+  // The durable epoch of every shard: a move's fence is the first bump
+  // (no worker is dead, so nothing else fences). The watcher kills the
+  // owner the moment it sees it.
+  std::map<ShardId, std::pair<WorkerId, std::uint64_t>> owners;
+  for (const ShardInfo& s : imageShards(cluster))
+    owners[s.id] = {s.worker, cluster.durable().epochOf(s.id)};
+  std::atomic<WorkerId> victim{kNoWorker};
+  std::atomic<bool> stop{false};
+  std::thread watcher([&] {
+    while (!stop.load()) {
+      for (const auto& [id, owner] : owners) {
+        if (cluster.durable().epochOf(id) > owner.second) {
+          victim.store(owner.first);
+          cluster.crashWorker(owner.first);
+          cluster.manager().setEnabled(false);  // this move is the only one
+          return;
+        }
+      }
+      std::this_thread::sleep_for(20us);
+    }
+  });
+
+  cluster.fabric().addFaultRule({"server/", "worker/", 0.1});
+  cluster.fabric().addFaultRule({"worker/", "server/", 0.1});
+  cluster.fabric().addFaultRule({"worker/", "worker/", 0.1});
+  // An empty worker joins; the balancer starts moving shards onto it.
+  cluster.addWorker();
+  cluster.manager().setEnabled(true);
+  const auto streamEnd = std::chrono::steady_clock::now() + 20s;
+  int afterKill = 0;
+  while (afterKill < 600 && std::chrono::steady_clock::now() < streamEnd) {
+    for (int i = 0; i < 10; ++i) {
+      if (i < 7) {
+        insertOne();
+      } else {
+        clients[op++ % clients.size()]->queryAsync(QueryBox(schema));
+      }
+    }
+    if (victim.load() != kNoWorker) afterKill += 10;
+    std::this_thread::sleep_for(1ms);
+  }
+  stop.store(true);
+  watcher.join();
+  ASSERT_NE(victim.load(), kNoWorker) << "no move reached its fence";
+  for (auto& c : clients) c->drain();
+  cluster.fabric().clearFaultRules();
+  EXPECT_EQ(cluster.manager().splitsDone(), 0u);
+  // The handover never reached its commit point: the dead-owner path
+  // promoted a surviving chain member instead.
+  EXPECT_EQ(cluster.manager().migrationsDone(), 0u);
+  std::uint64_t acked = 0;
+  for (auto& c : clients) {
+    EXPECT_EQ(c->insertsExpired(), 0u);
+    acked += c->insertsAcked();
+  }
+  ASSERT_EQ(acked, inserted.size());
+
+  // Quiet: nothing in flight, no shard left on the dead owner, every
+  // chain rebuilt, and no control-plane action for a full second (which
+  // also covers the servers' sync interval).
+  Manager& mgr = cluster.manager();
+  const auto actions = [&] {
+    return std::vector<std::uint64_t>{
+        mgr.promotionsDone(), mgr.recoveriesDone(), mgr.chainRepairsDone(),
+        mgr.migrationsDone(), mgr.opsTimedOut()};
+  };
+  std::vector<std::uint64_t> seen;
+  auto stableSince = std::chrono::steady_clock::now();
+  ASSERT_TRUE(eventually(
+      [&] {
+        const auto now = std::chrono::steady_clock::now();
+        if (actions() != seen) {
+          seen = actions();
+          stableSince = now;
+        }
+        if (mgr.opsInFlight() != 0 || !allChained(cluster, 16)) {
+          stableSince = now;
+          return false;
+        }
+        for (const ShardInfo& s : imageShards(cluster))
+          if (s.worker == victim.load()) return false;
+        return now - stableSince >= 1s;
+      },
+      20000ms))
+      << "victim w" << victim.load() << " promotions=" << seen[0]
+      << " recoveries=" << seen[1] << " repairs=" << seen[2];
+
+  // A chunk that races a late repair may come back partial (honest); a
+  // complete answer must be exact.
+  const auto complete = [&](Client& c, const QueryBox& q) {
+    QueryReply r;
+    EXPECT_TRUE(eventually([&] {
+      r = c.query(q);
+      return !r.partial;
+    }))
+        << q.describe(schema);
+    return r;
+  };
+  QueryGenerator qgen(schema, kSeed);
+  std::vector<QueryBox> checks{QueryBox(schema)};
+  for (const auto& band : qgen.generateBands(inserted, 1)) {
+    ASSERT_FALSE(band.empty());
+    checks.push_back(band.front().box);
+  }
+  for (const QueryBox& q : checks) {
+    const Aggregate want = oracle.query(q);
+    for (auto& c : clients) {
+      const QueryReply got = complete(*c, q);
+      EXPECT_EQ(got.agg.count, want.count) << q.describe(schema);
+      EXPECT_NEAR(got.agg.sum, want.sum, 1e-6 * (1.0 + std::abs(want.sum)))
+          << q.describe(schema);
+    }
+  }
 }
 
 TEST(Failover, ManagerStatsExposeReplicationContract) {

@@ -1,7 +1,8 @@
 // Protocol-level tests for the worker node: drive a Worker directly over
 // the fabric with raw messages and verify the SIII-E machinery — shard
-// creation, insert/query routing, the split mapping table, the two-phase
-// migration with forwarding stubs, and the insertion-queue overlay.
+// creation, insert/query routing, the split mapping table and the
+// insertion-queue overlay — plus a move run as the manager runs it: a
+// chain handover (reconfig -> seed -> fence -> release -> promote).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -71,6 +72,39 @@ class WorkerTest : public ::testing::Test {
     return corr;
   }
 
+  /// Steps 1-2 of a move: append `dst` to the chain of `shard` at `src`.
+  /// The ack waits until `dst` installed its seed, so it names `dst`.
+  void chainTo(ShardId shard, WorkerId src, WorkerId dst) {
+    const Message ack =
+        send(workerEndpoint(src), Op::kReplReconfig,
+             ReplReconfig{shard, {src, dst}}.encode(), nextCorr_++);
+    ASSERT_EQ(ack.type, static_cast<std::uint16_t>(Op::kReplReconfigAck));
+    const RecoverDone done = RecoverDone::decode(ack.payload);
+    ASSERT_TRUE(done.ok);
+    EXPECT_EQ(done.info.replicas, std::vector<WorkerId>{dst});
+  }
+
+  /// Steps 3-5: fence, have `src` shed the shard, promote `dst`. Returns
+  /// the epoch `dst` now holds the shard under.
+  std::uint64_t handOver(ShardId shard, WorkerId src, WorkerId dst) {
+    const auto snap = durable_.fence(shard);
+    EXPECT_TRUE(snap.has_value());
+    if (!snap) return 0;
+    const Message released =
+        send(workerEndpoint(src), Op::kReplReconfig,
+             ReplReconfig{shard, {dst}}.encode(), nextCorr_++);
+    EXPECT_EQ(released.type,
+              static_cast<std::uint16_t>(Op::kReplReconfigAck));
+    EXPECT_TRUE(RecoverDone::decode(released.payload).ok);
+    const Message promoted =
+        send(workerEndpoint(dst), Op::kReplPromote,
+             ReplPromote{shard, snap->epoch}.encode(), nextCorr_++);
+    EXPECT_EQ(promoted.type,
+              static_cast<std::uint16_t>(Op::kReplPromoteAck));
+    EXPECT_TRUE(RecoverDone::decode(promoted.payload).ok);
+    return snap->epoch;
+  }
+
   WQueryReply queryShards(Worker& w, std::vector<ShardId> ids) {
     WQuery req;
     req.shards = std::move(ids);
@@ -83,6 +117,7 @@ class WorkerTest : public ::testing::Test {
 
   Fabric fabric_;
   Schema schema_;
+  DurableLog durable_;
   KeeperServer keeper_;
   DataGenerator gen_;
   std::shared_ptr<Mailbox> me_;
@@ -90,7 +125,7 @@ class WorkerTest : public ::testing::Test {
 };
 
 TEST_F(WorkerTest, CreateInsertQuery) {
-  Worker w(fabric_, schema_, 0);
+  Worker w(fabric_, schema_, 0, durable_);
   createShard(w, 1);
   insertN(w, 1, 50);
   const WQueryReply r = queryShards(w, {1});
@@ -102,7 +137,7 @@ TEST_F(WorkerTest, CreateInsertQuery) {
 }
 
 TEST_F(WorkerTest, UnknownShardStillAcksInserts) {
-  Worker w(fabric_, schema_, 0);
+  Worker w(fabric_, schema_, 0, durable_);
   const Message ack = send(workerEndpoint(0), Op::kWBulk,
                            oneItem(/*never created*/ 999).encode(), 5);
   EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWBulkAck));
@@ -114,7 +149,7 @@ TEST_F(WorkerTest, UnknownShardStillAcksInserts) {
 }
 
 TEST_F(WorkerTest, RedeliveredRequestsAreDeduplicated) {
-  Worker w(fabric_, schema_, 0);
+  Worker w(fabric_, schema_, 0, durable_);
   createShard(w, 1);
   // The same insert retransmitted with one corr: applied once, acked every
   // time (the replay cache answers the duplicates).
@@ -144,7 +179,7 @@ TEST_F(WorkerTest, RedeliveredRequestsAreDeduplicated) {
 }
 
 TEST_F(WorkerTest, SplitCreatesMappingAndPreservesData) {
-  Worker w(fabric_, schema_, 0);
+  Worker w(fabric_, schema_, 0, durable_);
   createShard(w, 1);
   insertN(w, 1, 400);
 
@@ -171,63 +206,67 @@ TEST_F(WorkerTest, SplitCreatesMappingAndPreservesData) {
 }
 
 TEST_F(WorkerTest, SplitOfUnknownOrBusyShardFailsCleanly) {
-  Worker w(fabric_, schema_, 0);
+  Worker w(fabric_, schema_, 0, durable_);
   SplitShard split{42, 43};
   const Message done =
       send(workerEndpoint(0), Op::kSplitShard, split.encode(), 9);
   EXPECT_FALSE(SplitDone::decode(done.payload).ok);
 }
 
-TEST_F(WorkerTest, MigrationMovesDataAndLeavesForwardingStub) {
-  Worker src(fabric_, schema_, 0);
-  Worker dst(fabric_, schema_, 1);
+TEST_F(WorkerTest, MoveHandsShardToSeededReplica) {
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker dst(fabric_, schema_, 1, durable_);
   createShard(src, 1);
   insertN(src, 1, 200);
 
-  MigrateShard mig{1, 1};
-  const Message done =
-      send(workerEndpoint(0), Op::kMigrateShard, mig.encode(), 11);
-  EXPECT_EQ(done.type, static_cast<std::uint16_t>(Op::kMigrateDone));
-  const MigrateDone md = MigrateDone::decode(done.payload);
-  ASSERT_TRUE(md.ok);
-  EXPECT_EQ(md.dest, 1u);
-  EXPECT_EQ(dst.itemsHeld(), 200u);
+  chainTo(1, 0, 1);
+  EXPECT_EQ(dst.replicaShardCount(), 1u);
+  // Inserts while the chain runs reach the new member before their acks.
+  insertN(src, 1, 20);
+  const std::uint64_t epoch = handOver(1, 0, 1);
+  EXPECT_EQ(dst.itemsHeld(), 220u);
+  EXPECT_EQ(dst.replicaShardCount(), 0u);
   EXPECT_EQ(src.itemsHeld(), 0u);
+  EXPECT_EQ(src.shardCount(), 0u);
 
-  // Queries to the source get redirected, not silently emptied.
+  // The old owner answers not-mine — an honest partial, never a silently
+  // empty answer — and the new owner serves the data.
   const WQueryReply r = queryShards(src, {1});
   EXPECT_EQ(r.agg.count, 0u);
-  ASSERT_EQ(r.moved.size(), 1u);
-  EXPECT_EQ(r.moved[0].first, 1u);
-  EXPECT_EQ(r.moved[0].second, 1u);
-  // The destination serves the data.
-  EXPECT_EQ(queryShards(dst, {1}).agg.count, 200u);
+  EXPECT_TRUE(r.moved.empty());
+  EXPECT_EQ(r.notMine, std::vector<ShardId>{1});
+  EXPECT_EQ(queryShards(dst, {1}).agg.count, 220u);
 
-  // Inserts sent to the stale location are acked by the stub and forwarded
-  // to dest under the stub's own retry budget (at-least-once), so they land
-  // there shortly after the ack.
-  insertN(src, 1, 10);
-  const auto deadline = std::chrono::steady_clock::now() + 3s;
-  while (dst.itemsHeld() < 210u && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(5ms);
-  EXPECT_EQ(dst.itemsHeld(), 210u);
+  // An insert sent to the old owner is dropped unacked; the sender's
+  // retransmission, routed to the new owner, is applied there once and
+  // acked under the new epoch.
+  const Blob late = oneItem(1).encode();
+  const std::uint64_t fencedBefore = src.fencedOps();
+  sendNoReply(workerEndpoint(0), Op::kWBulk, late, 9001);
+  EXPECT_FALSE(me_->recvFor(300ms).has_value());
+  EXPECT_GT(src.fencedOps(), fencedBefore);
+  const Message ack = send(workerEndpoint(1), Op::kWBulk, late, 9001);
+  ASSERT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWBulkAck));
+  const WBulkAck info = WBulkAck::decode(ack.payload);
+  EXPECT_EQ(info.applied, 1u);
+  ASSERT_EQ(info.stamps.size(), 1u);
+  EXPECT_EQ(info.stamps[0].second, epoch);
+  EXPECT_EQ(dst.itemsHeld(), 221u);
 }
 
 TEST_F(WorkerTest, MigratedSplitShardKeepsMappingAtDestination) {
-  Worker src(fabric_, schema_, 0);
-  Worker dst(fabric_, schema_, 1);
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker dst(fabric_, schema_, 1, durable_);
   createShard(src, 1);
   insertN(src, 1, 300);
-  // Split 1 -> {1, 2}, then migrate the LEFT half (id 1) away.
+  // Split 1 -> {1, 2}, then move the LEFT half (id 1) away. Its mapping
+  // entry travels in the seed's checkpoint.
   SplitShard split{1, 2};
   const SplitDone sd = SplitDone::decode(
       send(workerEndpoint(0), Op::kSplitShard, split.encode(), 13).payload);
   ASSERT_TRUE(sd.ok);
-  MigrateShard mig{1, 1};
-  ASSERT_TRUE(MigrateDone::decode(
-                  send(workerEndpoint(0), Op::kMigrateShard, mig.encode(), 14)
-                      .payload)
-                  .ok);
+  chainTo(1, 0, 1);
+  handOver(1, 0, 1);
   // Destination serves id 1 and reports the mapping's right child as
   // unlocatable-by-me (kNoWorker) so the caller resolves it via the image.
   const WQueryReply r = queryShards(dst, {1});
@@ -240,7 +279,7 @@ TEST_F(WorkerTest, MigratedSplitShardKeepsMappingAtDestination) {
 }
 
 TEST_F(WorkerTest, BulkLoadSplitsAcrossMapping) {
-  Worker w(fabric_, schema_, 0);
+  Worker w(fabric_, schema_, 0, durable_);
   createShard(w, 1);
   insertN(w, 1, 200);
   SplitShard split{1, 2};
@@ -264,7 +303,7 @@ TEST_F(WorkerTest, BulkLoadSplitsAcrossMapping) {
 TEST_F(WorkerTest, StatsReachKeeper) {
   WorkerConfig cfg;
   cfg.statsIntervalNanos = 30'000'000;  // 30ms
-  Worker w(fabric_, schema_, 0, cfg);
+  Worker w(fabric_, schema_, 0, durable_, cfg);
   createShard(w, 1);
   KeeperClient zk(fabric_, "checker");
   ByteWriter wr;
