@@ -31,7 +31,6 @@ void LocalImage::addShard(const ShardInfo& info) {
   leaf->key = info.box;
   leafIndex_.emplace(info.id, leaf);
   workers_[info.id] = info.worker;
-  if (!info.replicas.empty()) replicas_[info.id] = info.replicas;
   counts_[info.id] = info.count;
   if (info.epoch > 0) epochs_[info.id] = info.epoch;
 
@@ -227,11 +226,6 @@ bool LocalImage::applyRemote(const ShardInfo& info) {
     workers_[info.id] = info.worker;
     changed = true;
   }
-  auto& reps = replicas_[info.id];
-  if (reps != info.replicas) {
-    reps = info.replicas;
-    changed = true;
-  }
   auto& cnt = counts_[info.id];
   if (info.count > cnt) cnt = info.count;
   auto& ep = epochs_[info.id];
@@ -245,12 +239,6 @@ bool LocalImage::applyRemote(const ShardInfo& info) {
 WorkerId LocalImage::workerOf(ShardId id) const {
   auto it = workers_.find(id);
   return it == workers_.end() ? kNoWorker : it->second;
-}
-
-const std::vector<WorkerId>& LocalImage::replicasOf(ShardId id) const {
-  static const std::vector<WorkerId> kEmpty;
-  auto it = replicas_.find(id);
-  return it == replicas_.end() ? kEmpty : it->second;
 }
 
 MdsKey LocalImage::boxOf(ShardId id) const {

@@ -56,12 +56,10 @@ class LocalImage {
   /// unknown. Returns true if anything changed.
   bool applyRemote(const ShardInfo& info);
 
+  /// The shard's owner: every query chunk and insert batch for the shard
+  /// goes there. Chain replicas are not tracked; they serve failover only.
   WorkerId workerOf(ShardId id) const;
   void setWorker(ShardId id, WorkerId w) { workers_[id] = w; }
-  /// Chain replicas currently mirroring the shard (empty when unchained).
-  /// Queries may scatter to a replica instead of the primary; the replica
-  /// answers only while fresh, else redirects back to the primary.
-  const std::vector<WorkerId>& replicasOf(ShardId id) const;
   MdsKey boxOf(ShardId id) const;
   std::uint64_t countOf(ShardId id) const;
   void noteCount(ShardId id, std::uint64_t count);
@@ -100,7 +98,6 @@ class LocalImage {
   Node* root_ = nullptr;
   std::unordered_map<ShardId, Node*> leafIndex_;
   std::unordered_map<ShardId, WorkerId> workers_;
-  std::unordered_map<ShardId, std::vector<WorkerId>> replicas_;
   std::unordered_map<ShardId, std::uint64_t> counts_;
   std::unordered_map<ShardId, std::uint64_t> epochs_;
   std::unordered_set<ShardId> dirty_;

@@ -450,7 +450,7 @@ void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
   // Chain memberships (primary or replica) per worker: from the image, with
   // a pending reconfig's chain standing in for its shard's image entry, and
   // updated as this pass assigns chains. Recruiting the least-loaded
-  // worker spreads replicas, and with them replica-read scans, evenly; a
+  // worker spreads replicas, and with them chain-apply work, evenly; a
   // one-off "lightest by items" order hands every chain of a pass to one
   // worker (at boot all workers are equally empty).
   std::map<WorkerId, std::size_t> members;
@@ -852,8 +852,7 @@ void Manager::handleReplReconfigAck(const Message& m) {
     return;
   }
   // Publish the chain (info.replicas) alongside the unchanged placement so
-  // servers can scatter replica reads and a future promotion can find the
-  // members.
+  // a future promotion can find the members.
   writeShardInfo(done.info, /*relocate=*/true, /*takeCount=*/true);
   if (everChained_.count(shard) != 0) chainRepairs_.inc();
   everChained_.insert(shard);

@@ -99,19 +99,12 @@ struct WQuery {
 /// list of requested shards this worker does not host at all (e.g. it was
 /// fenced out of them) — the server counts those as unreachable for this
 /// query and refreshes its image rather than silently treating them as
-/// empty.
+/// empty. A worker answers for every shard it holds, owned or mirrored.
 struct WQueryReply {
   Aggregate agg;
   std::uint32_t searchedShards = 0;
   std::vector<std::pair<ShardId, WorkerId>> moved;
   std::vector<ShardId> notMine;
-  /// Replica-read bounce: shards this worker replicates but whose copy was
-  /// too stale to serve, pointing back at the primary. Unlike `moved`,
-  /// these were routed here on purpose (replica-aware scatter), so the
-  /// server must re-ask the primary even though the shard was "queried".
-  /// Appended after `notMine` and guarded by remaining() so pre-replication
-  /// payloads still decode.
-  std::vector<std::pair<ShardId, WorkerId>> redirect;
 
   Blob encode() const {
     ByteWriter w;
@@ -124,11 +117,6 @@ struct WQueryReply {
     }
     w.varint(notMine.size());
     for (auto id : notMine) w.varint(id);
-    w.varint(redirect.size());
-    for (const auto& [id, dst] : redirect) {
-      w.varint(id);
-      w.u32(dst);
-    }
     return w.take();
   }
   static WQueryReply decode(const Blob& b) {
@@ -146,15 +134,6 @@ struct WQueryReply {
     const auto nm = r.varint();
     m.notMine.reserve(nm);
     for (std::uint64_t i = 0; i < nm; ++i) m.notMine.push_back(r.varint());
-    if (r.remaining() > 0) {
-      const auto nr = r.varint();
-      m.redirect.reserve(nr);
-      for (std::uint64_t i = 0; i < nr; ++i) {
-        const ShardId id = r.varint();
-        const WorkerId dst = r.u32();
-        m.redirect.emplace_back(id, dst);
-      }
-    }
     return m;
   }
 };

@@ -44,7 +44,6 @@ Server::Server(Fabric& fabric, const Schema& schema, ServerId id,
       freshnessLagNs_(metrics_.histogram("ingest.freshness_lag_ns")),
       queryScanNs_(metrics_.histogram("trace.query.scan_ns")),
       queryTotalNs_(metrics_.histogram("trace.query.total_ns")),
-      replicaReads_(metrics_.counter("server.replica_reads")),
       ingestReplNs_(metrics_.histogram("trace.ingest.repl_ns")),
       pool_(cfg.threads) {
   // Pull gauges: evaluated only at snapshot/scrape time, under the same
@@ -243,9 +242,9 @@ void Server::refreshShard(ShardId id) {
   try {
     const ShardInfo info = ShardInfo::deserialize(r);
     imageLock_.lock();
-    image_.applyRemote(info);
+    // The snapshot holds what applyRemote reports: boxes, owners, epochs.
+    if (image_.applyRemote(info)) rebuildSnapshotLocked();
     knownShards_.store(image_.shardCount(), std::memory_order_relaxed);
-    rebuildSnapshotLocked();
     imageLock_.unlock();
   } catch (const DeserializeError&) {
     // Corrupt znode: ignore; the next write will repair it.
@@ -690,25 +689,8 @@ void Server::handleQuery(const Message& m) {
   {
     imageLock_.lock_shared();
     image_.routeQuery(box, ids);
-    for (ShardId id : ids) {
-      WorkerId dest = image_.workerOf(id);
-      // Replica-aware scatter: rotate each chunk across the shard's chain
-      // (primary + replicas). A stale replica redirects the chunk back to
-      // the primary, so results stay exact.
-      if (cfg_.replicaReads) {
-        const auto& reps = image_.replicasOf(id);
-        if (!reps.empty()) {
-          const std::uint64_t r =
-              queryRotor_.fetch_add(1, std::memory_order_relaxed) %
-              (reps.size() + 1);
-          if (r > 0 && reps[r - 1] != dest && reps[r - 1] != kNoWorker) {
-            dest = reps[r - 1];
-            replicaReads_.inc();
-          }
-        }
-      }
-      byWorker[dest].push_back(id);
-    }
+    // Each chunk goes to the shard's owner (SIII-C).
+    for (ShardId id : ids) byWorker[image_.workerOf(id)].push_back(id);
     imageLock_.unlock_shared();
   }
   if (ids.empty()) {
@@ -834,12 +816,6 @@ void Server::handleWorkerQueryReply(const Message& m) {
       for (const auto& [id, dest] : reply.moved) {
         if (q->queried.count(id) != 0) continue;  // already covered
         q->queried.insert(id);
-        chase(q, id, dest);
-      }
-      for (const auto& [id, dest] : reply.redirect) {
-        // A stale replica bounced the chunk back to the primary. The shard
-        // IS in q->queried (we chose to ask the replica), so no dedup
-        // guard: the redirect is the only path that will answer it.
         chase(q, id, dest);
       }
       for (ShardId id : reply.notMine) {
@@ -1067,8 +1043,7 @@ void Server::syncPush() {
       // Piggy-back: fold the remote view into our image while we are here.
       {
         imageLock_.lock();
-        image_.applyRemote(stored);
-        rebuildSnapshotLocked();
+        if (image_.applyRemote(stored)) rebuildSnapshotLocked();
         imageLock_.unlock();
       }
       ByteWriter w;

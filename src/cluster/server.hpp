@@ -51,11 +51,6 @@ struct ServerConfig {
   /// default client budget so a query degrades to a partial reply before
   /// the client gives up on the whole request.
   RetryPolicy workerRetry{100'000'000, 1'000'000'000, 10'000'000, 1.6, 5};
-  /// Replica-aware reads: scatter query chunks round-robin across a
-  /// shard's chain members, not just its primary. A replica answers only
-  /// while within its staleness bound, else it redirects the chunk back to
-  /// the primary — results stay exact either way.
-  bool replicaReads = true;
 };
 
 class Server {
@@ -377,14 +372,10 @@ class Server {
   AtomicHistogram& freshnessLagNs_;
   AtomicHistogram& queryScanNs_;
   AtomicHistogram& queryTotalNs_;
-  // Replication-facing observability: chunks scattered to chain replicas,
-  // and the forward→tail-ack leg of traced chained inserts.
-  Counter& replicaReads_;
+  // The forward→tail-ack leg of traced chained inserts.
   AtomicHistogram& ingestReplNs_;
   TraceRing traceRing_;
   std::atomic<std::size_t> knownShards_{0};
-  /// Rotates replica-read targets across queries (contention-free).
-  std::atomic<std::uint64_t> queryRotor_{0};
 
   // Declared after every piece of state its tasks touch: the pool drains
   // and joins before the pending maps and counters are destroyed.

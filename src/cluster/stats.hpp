@@ -69,7 +69,6 @@ inline const std::vector<std::string>& requiredServerMetrics() {
       "server.pending_queries",
       "server.retry_entries",
       "server.coalesce.buffered",
-      "server.replica_reads",
       "h:trace.ingest.repl_ns",
       "h:ingest.freshness_lag_ns",
       "h:trace.ingest.route_ns",

@@ -91,7 +91,6 @@ Worker::Worker(Fabric& fabric, const Schema& schema, WorkerId id,
       replForwarded_(metrics_.counter("repl.appends_forwarded")),
       replApplied_(metrics_.counter("repl.appends_applied")),
       replAbandoned_(metrics_.counter("repl.appends_abandoned")),
-      replReads_(metrics_.counter("repl.reads")),
       replSeeded_(metrics_.counter("repl.seeds")),
       replLagNs_(metrics_.histogram("repl.lag_ns")),
       walAppendNs_(metrics_.histogram("worker.wal_append_ns")),
@@ -233,6 +232,7 @@ void Worker::serve() {
     }
     if (now >= nextCheckpoint) {
       checkpointShards();
+      dropUnfedMirrors();
       nextCheckpoint = now + cfg_.checkpointIntervalNanos;
     }
     const std::uint64_t replDue = sweepReplication();
@@ -412,7 +412,7 @@ void Worker::handleQuery(const Message& m) {
   if (req.box.dims() != schema_.dims()) return;
   std::vector<std::shared_ptr<Shard>> targets;
   WQueryReply reply;
-  // (shard, was the server's root target) pairs that no live slot claims.
+  // (shard, asked for by the server) pairs that no live slot claims.
   std::vector<std::pair<ShardId, bool>> unresolved;
   {
     std::lock_guard lock(slotsMu_);
@@ -426,10 +426,13 @@ void Worker::handleQuery(const Message& m) {
         if (!visited.insert(cur).second) continue;
         Slot* slot = findSlot(cur);
         if (slot == nullptr) {
-          // Might be hosted here as a replica (replica-aware reads) —
-          // resolved below, outside slotsMu_ (lock order: slotsMu_ before
-          // replMu_, never nested the other way on this path).
-          unresolved.emplace_back(cur, cur == id);
+          // Might be mirrored here — resolved below, outside slotsMu_
+          // (lock order: slotsMu_ before replMu_, never nested the other
+          // way on this path). A shard the server asked for counts as
+          // asked for even when a mapping reached it first.
+          unresolved.emplace_back(
+              cur, std::find(req.shards.begin(), req.shards.end(), cur) !=
+                       req.shards.end());
           continue;
         }
         if (slot->shard && seen.insert(slot->shard.get()).second)
@@ -444,34 +447,26 @@ void Worker::handleQuery(const Message& m) {
   if (!unresolved.empty()) {
     std::lock_guard lock(replMu_);
     for (const auto& [sid, isRoot] : unresolved) {
-      auto it = replicaShards_.find(sid);
-      if (it != replicaShards_.end()) {
-        // Replica-aware read: answer from the mirrored tree when it is
-        // caught up (no gap stashed, last apply within the staleness
-        // bound); otherwise point the server back at the chain's primary.
-        ReplicaShard& rs = it->second;
-        const bool fresh =
-            rs.stash.empty() &&
-            rs.lastLagNanos <= cfg_.replicaReadStalenessNanos;
-        if (fresh && rs.shard) {
-          targets.push_back(rs.shard);
-          replReads_.inc();
-        } else {
-          reply.redirect.emplace_back(
-              sid, rs.chain.empty() ? kNoWorker : rs.chain[0]);
-        }
+      if (!isRoot) {
+        // A split-right child we do not own (a mirror of it here does not
+        // count: its owner answers for it): tell the server to locate it
+        // via its image / the keeper.
+        reply.moved.emplace_back(sid, kNoWorker);
         continue;
       }
-      if (!isRoot) {
-        // A split-right child we no longer know about: tell the server
-        // to locate it via its image / the keeper.
-        reply.moved.emplace_back(sid, kNoWorker);
+      auto it = replicaShards_.find(sid);
+      if (it != replicaShards_.end() && it->second.shard) {
+        // A server addresses a shard to a mirror only between the image
+        // naming this worker owner and its kReplPromote landing. Acks are
+        // tail-gated and the image lists only seeded members, so the
+        // mirror holds every acked insert: answer from it.
+        targets.push_back(it->second.shard);
       } else {
         // A shard the server thinks we host but we do not (never did, or
         // we were fenced out of it or handed it over). Reporting it as
-        // not-mine makes
-        // the server count it unreachable — a visible partial result —
-        // and refresh its image, instead of silently merging zero.
+        // not-mine makes the server count it unreachable — a visible
+        // partial result — and refresh its image, instead of silently
+        // merging zero.
         reply.notMine.push_back(sid);
       }
     }
@@ -597,7 +592,11 @@ void Worker::handleBulk(const Message& m) {
               stay.push(batchItems.at(i));
           }
         }
-        if (stay.size() == 0) continue;
+        // The addressed shard keeps a record, empty if every item followed
+        // the mapping: its log must carry the request's identity, or a
+        // retransmission reaching a later owner of that shard (a move, a
+        // promotion) would apply the batch a second time.
+        if (stay.size() == 0 && id != batch.shard) continue;
         items = std::move(stay);
       }
       Target t;
@@ -940,6 +939,35 @@ void Worker::checkpointShards() {
   for (ShardId id : shed) fenceSlot(id);
 }
 
+void Worker::dropUnfedMirrors() {
+  std::vector<std::pair<ShardId, std::uint64_t>> mirrors;  // shard, epoch
+  {
+    std::lock_guard lock(replMu_);
+    for (const auto& [id, rs] : replicaShards_)
+      mirrors.emplace_back(id, rs.epoch);
+  }
+  for (const auto& [id, epoch] : mirrors) {
+    const auto cur = zk_.get(shardPath(id));
+    if (!cur.has_value()) continue;
+    ShardInfo info;
+    try {
+      ByteReader r(cur->data);
+      info = ShardInfo::deserialize(r);
+    } catch (const DeserializeError&) {
+      continue;
+    }
+    if (info.epoch <= epoch || info.worker == id_ ||
+        std::find(info.replicas.begin(), info.replicas.end(), id_) !=
+            info.replicas.end())
+      continue;
+    std::lock_guard lock(replMu_);
+    auto it = replicaShards_.find(id);
+    // A seed under the image's epoch may have landed since the read.
+    if (it != replicaShards_.end() && it->second.epoch < info.epoch)
+      replicaShards_.erase(it);
+  }
+}
+
 bool Worker::fenceSlot(ShardId id, const std::vector<WorkerId>* successors) {
   {
     std::lock_guard lock(slotsMu_);
@@ -1121,11 +1149,7 @@ void Worker::handleReplAppend(const Message& m) {
         while (rs.log.size() > kReplLogCap) rs.log.pop_front();
         rs.lastApplied = idx;
         advanced = true;
-        const std::uint64_t lag =
-            now >= cur.sendNanos ? now - cur.sendNanos : 0;
-        replLagNs_.record(lag);
-        rs.lastLagNanos = lag;
-        rs.lastAppendNanos = now;
+        replLagNs_.record(now >= cur.sendNanos ? now - cur.sendNanos : 0);
         replApplied_.inc();
         if (!tail) {
           ReplOutEntry e;
@@ -1518,7 +1542,6 @@ void Worker::handleReplSeed(const Message& m) {
         rs.log.push_back(std::move(rec));
       }
       while (rs.log.size() > kReplLogCap) rs.log.pop_front();
-      rs.lastAppendNanos = nowNanos();
       replicaShards_[seed.shard] = std::move(rs);
       replSeeded_.inc();
     }
@@ -1760,7 +1783,7 @@ void Worker::pushStats() {
   // The hosting primary is authoritative for chain membership: it
   // publishes the seeded successors, in chain order (empty =
   // unreplicated). A member still waiting for its seed holds nothing, so
-  // it may serve no replica read and is no promotion candidate.
+  // it is no promotion candidate.
   const auto seededReplicas = [this](ShardId id) {
     std::vector<WorkerId> out;
     std::lock_guard lock(replMu_);

@@ -55,11 +55,6 @@ struct WorkerConfig {
   std::uint64_t checkpointIntervalNanos = 1'000'000'000;
   /// Retry budget for worker-to-worker traffic (chain seeds and appends).
   RetryPolicy transferRetry{100'000'000, 1'000'000'000, 10'000'000, 1.6, 6};
-  /// Replica-read staleness bound: a replica serves a query from its local
-  /// copy only if its chain feed is contiguous and the last applied entry's
-  /// forward->apply lag is within this budget; otherwise it bounces the
-  /// shard back to the primary (WQueryReply::redirect).
-  std::uint64_t replicaReadStalenessNanos = 250'000'000;
 };
 
 class Worker {
@@ -124,8 +119,6 @@ class Worker {
   std::uint64_t replAppendsAbandoned() const {
     return replAbandoned_.value();
   }
-  /// Queries served from a local replica copy.
-  std::uint64_t replReads() const { return replReads_.value(); }
   /// Replica states installed from a kReplSeed.
   std::uint64_t replSeeds() const { return replSeeded_.value(); }
   /// Shards this worker currently mirrors as a replica.
@@ -236,6 +229,13 @@ class Worker {
   /// Checkpoint one slot. Caller holds slotsMu_ with the slot's inserts
   /// drained (or otherwise quiesced). Returns false if fenced.
   bool checkpointSlotLocked(ShardId id, const Slot& slot);
+  /// Drop every mirror no chain feeds any more: its shard's image entry
+  /// is at a higher epoch and names this worker neither owner nor
+  /// replica. Each such mirror is a whole shard of memory that no drop
+  /// notice reaches (e.g. a move's target after another member was
+  /// promoted). Runs on the checkpoint tick; keeper reads happen outside
+  /// replMu_.
+  void dropUnfedMirrors();
   /// Shed the slot for `id` if the durable store fenced it (its epoch is
   /// above the slot's): wait out the slot's in-flight inserts, drop it,
   /// then drop its chain fenced — no parked ack is ever sent. Only a
@@ -345,7 +345,6 @@ class Worker {
   Counter& replForwarded_;
   Counter& replApplied_;
   Counter& replAbandoned_;
-  Counter& replReads_;
   Counter& replSeeded_;
   AtomicHistogram& replLagNs_;
   /// Stage timings, recorded per request/batch (not per item, so the

@@ -280,8 +280,6 @@ struct ReplicaShard {
   std::map<std::uint64_t, ReplOutEntry> out;  // window toward successor
   std::deque<WalRecord> log;  // dedup identities, capped
   std::vector<std::pair<Hyperplane, ShardId>> splits;
-  std::uint64_t lastLagNanos = 0;     // forward->apply delta of last entry
-  std::uint64_t lastAppendNanos = 0;  // local clock at last apply
 };
 
 }  // namespace volap

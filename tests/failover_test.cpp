@@ -5,18 +5,18 @@
 // a single acked insert — even with message loss forcing retransmissions
 // to race the promotion. Killing a chain tail instead must trigger a chain
 // repair (a fresh member recruited in the background) while the primary
-// keeps serving. Replica-aware reads scatter query chunks across chain
-// members and stay exact: a stale replica redirects back to the primary,
-// and after a drain the tail-gated ack rule guarantees replicas hold every
-// acked item. A chain is published only once its members hold their
-// seeds, so a lost seed never routes a replica read to an empty member.
-// Moving a shard is a chain handover (append the target, fence, shed,
-// promote); killing the old owner in the middle of one must lose nothing.
+// keeps serving. Queries go to shard owners only. A chain is published
+// only once its members hold their seeds, so lost seeds never make a query
+// partial. Moving a shard is a chain handover (append the target, fence,
+// shed, promote); killing the old owner in the middle of one must lose
+// nothing. Balancing (splits and moves) on chained shards keeps every
+// answer exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -99,6 +99,133 @@ bool allChained(VolapCluster& cluster, std::size_t expectShards) {
   for (const auto& s : shards)
     if (s.replicas.empty()) return false;
   return true;
+}
+
+/// One client per server.
+std::vector<std::unique_ptr<Client>> clientPerServer(VolapCluster& cluster) {
+  std::vector<std::unique_ptr<Client>> out;
+  for (unsigned s = 0; s < cluster.serverCount(); ++s)
+    out.push_back(
+        cluster.makeClient("c" + std::to_string(s), static_cast<int>(s)));
+  return out;
+}
+
+/// A skewed insert stream (like the benchmark's data, so every coverage
+/// band has queries) spread round-robin over one client per server, with
+/// every point also kept in an ArrayShard oracle.
+struct OracleStream {
+  OracleStream(VolapCluster& cluster, const Schema& schema,
+               std::uint64_t seed)
+      : schema(schema),
+        seed(seed),
+        clients(clientPerServer(cluster)),
+        gen(schema, seed, skewed()),
+        oracle(schema),
+        inserted(schema.dims()) {}
+
+  static DataGenOptions skewed() {
+    DataGenOptions o;
+    o.zipfSkew = 1.1;
+    return o;
+  }
+  Client& next() { return *clients[op++ % clients.size()]; }
+  void insert() {
+    const PointRef p = gen.next();
+    oracle.insert(p);
+    inserted.push(p);
+    next().insertAsync(p);
+  }
+  /// A pipelined 70/30 mix: 7 inserts, 3 whole-database queries.
+  void mix() {
+    for (int i = 0; i < 10; ++i) {
+      if (i < 7) {
+        insert();
+      } else {
+        next().queryAsync(QueryBox(schema));
+      }
+    }
+  }
+  void drain() {
+    for (auto& c : clients) c->drain();
+  }
+  /// Every insert acked once, none expired.
+  void expectAllAcked() {
+    std::uint64_t acked = 0;
+    for (auto& c : clients) {
+      EXPECT_EQ(c->insertsExpired(), 0u);
+      acked += c->insertsAcked();
+    }
+    EXPECT_EQ(acked, inserted.size());
+  }
+  /// The whole database and one query per coverage band, through every
+  /// server. A chunk that races a late repair may come back partial
+  /// (honest) and is retried; a complete answer must be exact.
+  void expectExactAnswers() {
+    QueryGenerator qgen(schema, seed);
+    std::vector<QueryBox> checks{QueryBox(schema)};
+    for (const auto& band : qgen.generateBands(inserted, 1)) {
+      ASSERT_FALSE(band.empty());
+      checks.push_back(band.front().box);
+    }
+    for (const QueryBox& q : checks) {
+      const Aggregate want = oracle.query(q);
+      for (auto& c : clients) {
+        QueryReply got;
+        EXPECT_TRUE(eventually([&] {
+          got = c->query(q);
+          return !got.partial;
+        })) << q.describe(schema);
+        EXPECT_EQ(got.agg.count, want.count) << q.describe(schema);
+        EXPECT_NEAR(got.agg.sum, want.sum,
+                    1e-6 * (1.0 + std::abs(want.sum)))
+            << q.describe(schema);
+      }
+    }
+  }
+
+  const Schema& schema;
+  const std::uint64_t seed;
+  std::vector<std::unique_ptr<Client>> clients;
+  DataGenerator gen;
+  ArrayShard oracle;
+  PointSet inserted;
+  std::uint64_t op = 0;
+};
+
+/// Waits until the manager is quiet: nothing in flight, `settled` holds,
+/// and no control-plane action for a full second (which also covers the
+/// servers' sync interval).
+::testing::AssertionResult managerQuiet(VolapCluster& cluster,
+                                        const std::function<bool()>& settled,
+                                        std::chrono::milliseconds deadline) {
+  Manager& mgr = cluster.manager();
+  const auto actions = [&] {
+    return std::vector<std::uint64_t>{
+        mgr.promotionsDone(), mgr.recoveriesDone(), mgr.chainRepairsDone(),
+        mgr.migrationsDone(), mgr.splitsDone(),     mgr.opsTimedOut()};
+  };
+  std::vector<std::uint64_t> seen;
+  auto stableSince = std::chrono::steady_clock::now();
+  const bool quiet = eventually(
+      [&] {
+        const auto now = std::chrono::steady_clock::now();
+        if (actions() != seen) {
+          seen = actions();
+          stableSince = now;
+        }
+        if (mgr.opsInFlight() != 0 || !settled()) {
+          stableSince = now;
+          return false;
+        }
+        return now - stableSince >= 1s;
+      },
+      deadline);
+  if (quiet) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "manager not quiet: promotions=" << seen[0]
+         << " recoveries=" << seen[1] << " repairs=" << seen[2]
+         << " migrations=" << seen[3] << " splits=" << seen[4]
+         << " timedOut=" << seen[5] << " inFlight=" << mgr.opsInFlight();
 }
 
 TEST(ChainRecruitment, SpreadsReplicasAcrossWorkers) {
@@ -195,7 +322,6 @@ TEST(Failover, PrimaryKillUnderMessageLossLosesNoAckedInsert) {
 
   // Exactly-once end to end: every acked insert present exactly once, so
   // the recovered cluster answers like the control that never crashed.
-  // (Post-drain, the tail-gated ack rule makes replica reads exact too.)
   ASSERT_TRUE(eventually(
       [&] {
         const QueryReply r = client->query(QueryBox(schema));
@@ -298,48 +424,12 @@ TEST(Failover, TailKillRepairsChainWithExactResults) {
             static_cast<std::uint64_t>(kBefore + kDuring));
 }
 
-TEST(Failover, ReplicaReadsServeExactAnswersOrRedirect) {
-  const Schema schema = Schema::tpcds();
-  VolapCluster cluster(schema, failoverOptions());
-  auto client = cluster.makeClient("c0", 0);
-  DataGenerator gen(schema, 31337);
-  const int kN = 800;
-  for (int i = 0; i < kN; ++i) client->insertAsync(gen.next());
-  client->drain();
-  ASSERT_TRUE(eventually([&] { return allChained(cluster, 8); }, 10000ms));
-  // Let the servers pick the published chains up through their watches.
-  ASSERT_TRUE(eventually([&] {
-    std::uint64_t reads = 0;
-    for (unsigned s = 0; s < cluster.serverCount(); ++s) {
-      const auto snap = cluster.server(s).metrics().snapshot();
-      if (const auto* c = snap.findCounter("server.replica_reads"))
-        reads += *c;
-    }
-    if (reads > 0) return true;
-    (void)client->query(QueryBox(schema));  // drive chunks at the chains
-    return false;
-  }, 10000ms));
-
-  // Post-drain the tail-gated ack rule makes every replica exact for all
-  // acked data: full-coverage answers must be perfect no matter which
-  // chain member served each chunk (stale ones redirect to the primary).
-  for (int i = 0; i < 20; ++i) {
-    const QueryReply r = client->query(QueryBox(schema));
-    ASSERT_FALSE(r.partial);
-    EXPECT_EQ(r.agg.count, static_cast<std::uint64_t>(kN));
-  }
-  std::uint64_t workerReplicaReads = 0;
-  for (unsigned w = 0; w < cluster.workerCount(); ++w)
-    workerReplicaReads += cluster.worker(w).replReads();
-  EXPECT_GT(workerReplicaReads, 0u);
-}
-
 TEST(Failover, LostSeedsNeverMakeQueriesPartial) {
   // Every worker->worker message — kReplSeed included — is lost from the
   // moment the manager orders the first chains until ~300 ms after a seed
-  // was seen retransmitted. Replica reads stay on throughout. A member
-  // whose seed has not landed holds nothing and would answer not-mine, so
-  // no server may route a read to it: no query comes back partial.
+  // was seen retransmitted. A member whose seed has not landed holds
+  // nothing and would answer not-mine, so no server may route a read to
+  // it: no query comes back partial.
   const Schema schema = Schema::tpcds();
   VolapCluster cluster(schema, failoverOptions());
   cluster.fabric().addFaultRule({"worker/", "worker/", 1.0});
@@ -361,7 +451,6 @@ TEST(Failover, LostSeedsNeverMakeQueriesPartial) {
   const auto giveUp = std::chrono::steady_clock::now() + 15s;
   bool healed = false;
   int queries = 0;
-  std::uint64_t workerReplicaReads = 0;
   while (std::chrono::steady_clock::now() < giveUp) {
     if (!healed && std::chrono::steady_clock::now() >= healAt) {
       cluster.fabric().clearFaultRules();
@@ -373,14 +462,10 @@ TEST(Failover, LostSeedsNeverMakeQueriesPartial) {
       ASSERT_FALSE(r.partial) << "query " << queries << " came back partial ("
                               << r.unreachableShards << " shards unreachable)";
     }
-    workerReplicaReads = 0;
-    for (unsigned w = 0; w < cluster.workerCount(); ++w)
-      workerReplicaReads += cluster.worker(w).replReads();
-    if (healed && allChained(cluster, 8) && workerReplicaReads > 0) break;
+    if (healed && allChained(cluster, 8)) break;
   }
   ASSERT_TRUE(healed);
   EXPECT_TRUE(allChained(cluster, 8));
-  EXPECT_GT(workerReplicaReads, 0u) << "no replica read ran after the heal";
   clients[0]->drain();
   EXPECT_EQ(clients[0]->insertsAcked(), static_cast<std::uint64_t>(kN));
   for (auto& c : clients) {
@@ -416,25 +501,9 @@ TEST(Failover, OwnerKilledMidHandoverLosesNothing) {
   // sanitizer: ~10 s instead of ~3.5 s.
   opts.clientRetry.maxAttempts = 30;
   VolapCluster cluster(schema, opts);
-  std::vector<std::unique_ptr<Client>> clients;
-  for (unsigned s = 0; s < cluster.serverCount(); ++s)
-    clients.push_back(cluster.makeClient("c" + std::to_string(s),
-                                         static_cast<int>(s)));
-  // Skewed like the benchmark's data, so every coverage band has queries.
-  DataGenOptions skewed;
-  skewed.zipfSkew = 1.1;
-  DataGenerator gen(schema, kSeed, skewed);
-  ArrayShard oracle(schema);
-  PointSet inserted(schema.dims());
-  std::uint64_t op = 0;
-  const auto insertOne = [&] {
-    const PointRef p = gen.next();
-    oracle.insert(p);
-    inserted.push(p);
-    clients[op++ % clients.size()]->insertAsync(p);
-  };
-  for (int i = 0; i < 2000; ++i) insertOne();
-  for (auto& c : clients) c->drain();
+  OracleStream stream(cluster, schema, kSeed);
+  for (int i = 0; i < 2000; ++i) stream.insert();
+  stream.drain();
   ASSERT_TRUE(eventually([&] { return allChained(cluster, 16); }, 10000ms));
 
   // The durable epoch of every shard: a move's fence is the first bump
@@ -468,88 +537,66 @@ TEST(Failover, OwnerKilledMidHandoverLosesNothing) {
   const auto streamEnd = std::chrono::steady_clock::now() + 20s;
   int afterKill = 0;
   while (afterKill < 600 && std::chrono::steady_clock::now() < streamEnd) {
-    for (int i = 0; i < 10; ++i) {
-      if (i < 7) {
-        insertOne();
-      } else {
-        clients[op++ % clients.size()]->queryAsync(QueryBox(schema));
-      }
-    }
+    stream.mix();
     if (victim.load() != kNoWorker) afterKill += 10;
     std::this_thread::sleep_for(1ms);
   }
   stop.store(true);
   watcher.join();
   ASSERT_NE(victim.load(), kNoWorker) << "no move reached its fence";
-  for (auto& c : clients) c->drain();
+  stream.drain();
   cluster.fabric().clearFaultRules();
   EXPECT_EQ(cluster.manager().splitsDone(), 0u);
   // The handover never reached its commit point: the dead-owner path
   // promoted a surviving chain member instead.
   EXPECT_EQ(cluster.manager().migrationsDone(), 0u);
-  std::uint64_t acked = 0;
-  for (auto& c : clients) {
-    EXPECT_EQ(c->insertsExpired(), 0u);
-    acked += c->insertsAcked();
-  }
-  ASSERT_EQ(acked, inserted.size());
+  stream.expectAllAcked();
 
-  // Quiet: nothing in flight, no shard left on the dead owner, every
-  // chain rebuilt, and no control-plane action for a full second (which
-  // also covers the servers' sync interval).
-  Manager& mgr = cluster.manager();
-  const auto actions = [&] {
-    return std::vector<std::uint64_t>{
-        mgr.promotionsDone(), mgr.recoveriesDone(), mgr.chainRepairsDone(),
-        mgr.migrationsDone(), mgr.opsTimedOut()};
-  };
-  std::vector<std::uint64_t> seen;
-  auto stableSince = std::chrono::steady_clock::now();
-  ASSERT_TRUE(eventually(
+  // Quiet, with no shard left on the dead owner and every chain rebuilt.
+  ASSERT_TRUE(managerQuiet(
+      cluster,
       [&] {
-        const auto now = std::chrono::steady_clock::now();
-        if (actions() != seen) {
-          seen = actions();
-          stableSince = now;
-        }
-        if (mgr.opsInFlight() != 0 || !allChained(cluster, 16)) {
-          stableSince = now;
-          return false;
-        }
+        if (!allChained(cluster, 16)) return false;
         for (const ShardInfo& s : imageShards(cluster))
           if (s.worker == victim.load()) return false;
-        return now - stableSince >= 1s;
+        return true;
       },
       20000ms))
-      << "victim w" << victim.load() << " promotions=" << seen[0]
-      << " recoveries=" << seen[1] << " repairs=" << seen[2];
+      << "victim w" << victim.load();
+  stream.expectExactAnswers();
+}
 
-  // A chunk that races a late repair may come back partial (honest); a
-  // complete answer must be exact.
-  const auto complete = [&](Client& c, const QueryBox& q) {
-    QueryReply r;
-    EXPECT_TRUE(eventually([&] {
-      r = c.query(q);
-      return !r.partial;
-    }))
-        << q.describe(schema);
-    return r;
-  };
-  QueryGenerator qgen(schema, kSeed);
-  std::vector<QueryBox> checks{QueryBox(schema)};
-  for (const auto& band : qgen.generateBands(inserted, 1)) {
-    ASSERT_FALSE(band.empty());
-    checks.push_back(band.front().box);
+TEST(Failover, BalancingChainedShardsKeepsAnswersExact) {
+  // Balancing on chained shards: a low split threshold makes the preload
+  // split every initial shard (and balancing may move the halves) while
+  // each shard has a replication chain. Once the manager is quiet, a
+  // pipelined 70/30 stream runs through both servers; then every server
+  // must answer the whole database and one query per coverage band
+  // exactly. A shard counted twice (say, a split child reached both
+  // through its parent's mapping and on its own) over-counts.
+  constexpr std::uint64_t kSeed = 4807;
+  SCOPED_TRACE("seed " + std::to_string(kSeed));
+  const Schema schema = Schema::tpcds();
+  ClusterOptions opts = failoverOptions();
+  opts.net.seed = kSeed;
+  opts.manager.enabled = true;
+  opts.manager.maxShardItems = 400;
+  VolapCluster cluster(schema, opts);
+  OracleStream stream(cluster, schema, kSeed);
+  for (int i = 0; i < 4000; ++i) stream.insert();
+  stream.drain();
+  const auto settled = [&] { return allChained(cluster, 8); };
+  ASSERT_TRUE(managerQuiet(cluster, settled, 30000ms));
+  ASSERT_GT(cluster.manager().splitsDone(), 0u);
+
+  for (int i = 0; i < 100; ++i) {
+    stream.mix();
+    std::this_thread::sleep_for(1ms);
   }
-  for (const QueryBox& q : checks) {
-    const Aggregate want = oracle.query(q);
-    for (auto& c : clients) {
-      const QueryReply got = complete(*c, q);
-      EXPECT_EQ(got.agg.count, want.count) << q.describe(schema);
-      EXPECT_NEAR(got.agg.sum, want.sum, 1e-6 * (1.0 + std::abs(want.sum)))
-          << q.describe(schema);
-    }
-  }
+  stream.drain();
+  stream.expectAllAcked();
+  ASSERT_TRUE(managerQuiet(cluster, settled, 30000ms));
+  stream.expectExactAnswers();
 }
 
 TEST(Failover, ManagerStatsExposeReplicationContract) {

@@ -2,7 +2,9 @@
 // the fabric with raw messages and verify the SIII-E machinery — shard
 // creation, insert/query routing, the split mapping table and the
 // insertion-queue overlay — plus a move run as the manager runs it: a
-// chain handover (reconfig -> seed -> fence -> release -> promote).
+// chain handover (reconfig -> seed -> fence -> release -> promote), and
+// the chain mirrors: one answers when asked, and one no chain feeds any
+// more is dropped.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -103,6 +105,19 @@ class WorkerTest : public ::testing::Test {
               static_cast<std::uint16_t>(Op::kReplPromoteAck));
     EXPECT_TRUE(RecoverDone::decode(promoted.payload).ok);
     return snap->epoch;
+  }
+
+  /// Write the keeper image entry of `shard`.
+  void writeImage(ShardId shard, WorkerId owner, std::uint64_t epoch) {
+    ShardInfo info;
+    info.id = shard;
+    info.worker = owner;
+    info.epoch = epoch;
+    ByteWriter w;
+    info.serialize(w);
+    KeeperClient zk(fabric_, "image-writer");
+    if (!zk.set(shardPath(shard), w.data()).has_value())
+      zk.create(shardPath(shard), w.take());
   }
 
   WQueryReply queryShards(Worker& w, std::vector<ShardId> ids) {
@@ -254,6 +269,52 @@ TEST_F(WorkerTest, MoveHandsShardToSeededReplica) {
   EXPECT_EQ(dst.itemsHeld(), 221u);
 }
 
+TEST_F(WorkerTest, MirrorAnswersWhenAsked) {
+  // A server addresses a shard to a chain member between the image naming
+  // it owner and its promotion landing: the mirror answers in full.
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker dst(fabric_, schema_, 1, durable_);
+  createShard(src, 1);
+  insertN(src, 1, 100);
+  chainTo(1, 0, 1);
+  insertN(src, 1, 20);
+  const WQueryReply r = queryShards(dst, {1});
+  EXPECT_EQ(r.agg.count, 120u);
+  EXPECT_EQ(r.searchedShards, 1u);
+  EXPECT_TRUE(r.notMine.empty());
+  EXPECT_TRUE(r.moved.empty());
+}
+
+TEST_F(WorkerTest, DropsMirrorNoChainFeeds) {
+  // The owner never pushes stats here, so only this test writes the image.
+  WorkerConfig quiet;
+  quiet.statsIntervalNanos = 3'600'000'000'000;
+  WorkerConfig fast;
+  fast.checkpointIntervalNanos = 20'000'000;  // 20ms checkpoint ticks
+  Worker src(fabric_, schema_, 0, durable_, quiet);
+  Worker dst(fabric_, schema_, 1, durable_, fast);
+  createShard(src, 1);
+  insertN(src, 1, 30);
+  chainTo(1, 0, 1);
+  ASSERT_EQ(dst.replicaShardCount(), 1u);
+  const std::uint64_t epoch = durable_.epochOf(1);
+
+  // An image entry at the mirror's epoch keeps it, even one that does not
+  // name this worker.
+  writeImage(1, 0, epoch);
+  std::this_thread::sleep_for(200ms);
+  EXPECT_EQ(dst.replicaShardCount(), 1u);
+
+  // The shard moved on to another owner under a newer epoch without this
+  // worker: no chain feeds the mirror any more.
+  writeImage(1, 2, epoch + 1);
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (dst.replicaShardCount() != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(10ms);
+  EXPECT_EQ(dst.replicaShardCount(), 0u);
+}
+
 TEST_F(WorkerTest, MigratedSplitShardKeepsMappingAtDestination) {
   Worker src(fabric_, schema_, 0, durable_);
   Worker dst(fabric_, schema_, 1, durable_);
@@ -276,6 +337,40 @@ TEST_F(WorkerTest, MigratedSplitShardKeepsMappingAtDestination) {
   EXPECT_EQ(r.moved[0].second, kNoWorker);
   // The right half still lives on the source.
   EXPECT_EQ(queryShards(src, {2}).agg.count, sd.right.count);
+}
+
+TEST_F(WorkerTest, BatchThatFollowedAMappingIsNotReappliedAfterAMove) {
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker dst(fabric_, schema_, 1, durable_);
+  createShard(src, 1);
+  insertN(src, 1, 300);
+  ASSERT_TRUE(SplitDone::decode(send(workerEndpoint(0), Op::kSplitShard,
+                                     SplitShard{1, 2}.encode(), 13)
+                                    .payload)
+                  .ok);
+  // A one-item batch addressed to shard 1 that the mapping hands whole to
+  // shard 2.
+  Blob batch;
+  std::uint64_t corr = 0;
+  for (int i = 0; i < 100 && corr == 0; ++i) {
+    const std::uint64_t before = queryShards(src, {2}).agg.count;
+    const Blob b = oneItem(1).encode();
+    const std::uint64_t c = nextCorr_++;
+    ASSERT_EQ(send(workerEndpoint(0), Op::kWBulk, b, c).type,
+              static_cast<std::uint16_t>(Op::kWBulkAck));
+    if (queryShards(src, {2}).agg.count > before) {
+      batch = b;
+      corr = c;
+    }
+  }
+  ASSERT_NE(corr, 0u);
+  chainTo(1, 0, 1);
+  handOver(1, 0, 1);
+  // Its retransmission reaches shard 1's new owner, which must know it.
+  const std::uint64_t held = dst.itemsHeld();
+  const Message ack = send(workerEndpoint(1), Op::kWBulk, batch, corr);
+  EXPECT_EQ(ack.type, static_cast<std::uint16_t>(Op::kWBulkAck));
+  EXPECT_EQ(dst.itemsHeld(), held);
 }
 
 TEST_F(WorkerTest, BulkLoadSplitsAcrossMapping) {
