@@ -42,6 +42,12 @@ ctest --test-dir build-tsan --output-on-failure -R 'Failover' -j "$JOBS"
 echo "==== [tsan] balancing exactness ===="
 ctest --test-dir build-tsan --output-on-failure \
   -R 'Failover.BalancingChainedShardsKeepsAnswersExact' --repeat until-fail:10
+# The query differential tests, five times in a row under TSan: a tree's
+# top-level summaries are read by queries while inserts write them, and
+# QueryDiff.QueriesUnderConcurrentInsertsStayBounded races the two.
+echo "==== [tsan] query differential ===="
+ctest --test-dir build-tsan --output-on-failure -R QueryDiff \
+  --repeat until-fail:5
 
 echo "==== [release] configure ===="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

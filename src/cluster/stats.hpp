@@ -96,6 +96,7 @@ inline const std::vector<std::string>& requiredWorkerMetrics() {
       "worker.items_held",
       "worker.scan.leaves",
       "worker.scan.items",
+      "worker.scan.summary_answers",
       "worker.shards",
       "worker.retry_entries",
       "repl.appends_forwarded",

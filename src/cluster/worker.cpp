@@ -109,6 +109,9 @@ Worker::Worker(Fabric& fabric, const Schema& schema, WorkerId id,
   metrics_.gaugeFn("worker.scan.items", [this] {
     return static_cast<std::int64_t>(itemsTested());
   });
+  metrics_.gaugeFn("worker.scan.summary_answers", [this] {
+    return static_cast<std::int64_t>(summaryAnswers());
+  });
   metrics_.gaugeFn("worker.shards", [this] {
     return static_cast<std::int64_t>(shardCount());
   });
@@ -204,6 +207,10 @@ std::uint64_t Worker::leavesScanned() const {
 
 std::uint64_t Worker::itemsTested() const {
   return sumOverShards([](const Shard& s) { return s.itemsTested(); });
+}
+
+std::uint64_t Worker::summaryAnswers() const {
+  return sumOverShards([](const Shard& s) { return s.summaryAnswers(); });
 }
 
 std::size_t Worker::retryEntries() const {

@@ -87,10 +87,12 @@ class Worker {
   std::uint64_t batchesRejected() const { return rejectedBatches_.value(); }
   std::uint64_t itemsHeld() const;
   std::size_t shardCount() const;
-  /// Leaves scanned and items tested by queries, summed over the shards
-  /// (primary and replica) this worker holds now.
+  /// Leaves scanned and items tested by queries, and queries answered from
+  /// top-level summaries, summed over the shards (primary and replica)
+  /// this worker holds now.
   std::uint64_t leavesScanned() const;
   std::uint64_t itemsTested() const;
+  std::uint64_t summaryAnswers() const;
 
   // Fault-tolerance counters.
   std::uint64_t redelivered() const { return redelivered_.value(); }

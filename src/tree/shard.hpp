@@ -120,6 +120,11 @@ class Shard {
   std::uint64_t itemsTested() const {
     return itemsTested_.load(std::memory_order_relaxed);
   }
+  /// Queries answered from the per-dimension top-level summaries, without
+  /// a walk (tree shards only).
+  std::uint64_t summaryAnswers() const {
+    return summaryAnswers_.load(std::memory_order_relaxed);
+  }
 
  protected:
   /// Publish one query's scan tally.
@@ -127,10 +132,15 @@ class Shard {
     leavesScanned_.fetch_add(leaves, std::memory_order_relaxed);
     itemsTested_.fetch_add(items, std::memory_order_relaxed);
   }
+  /// Publish one query answered from the summaries.
+  void countSummaryAnswer() const {
+    summaryAnswers_.fetch_add(1, std::memory_order_relaxed);
+  }
 
  private:
   mutable std::atomic<std::uint64_t> leavesScanned_{0};
   mutable std::atomic<std::uint64_t> itemsTested_{0};
+  mutable std::atomic<std::uint64_t> summaryAnswers_{0};
 };
 
 /// Create an empty shard of the given kind.

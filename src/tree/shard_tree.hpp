@@ -21,6 +21,11 @@
 //    olap/flat_query.hpp) instead of a per-point short-circuit loop. The
 //    descent is an explicit-stack traversal whose child key tests visit
 //    only the query's constrained dimensions.
+//  * A Hilbert order over all dimensions cannot isolate one dimension's
+//    value, so the tree also keeps one aggregate per top-level value of
+//    each dimension (the 1-D cuboids of the cube). A box that constrains a
+//    single dimension to whole top-level values is answered from those
+//    slots without a walk.
 #pragma once
 
 #include <atomic>
@@ -46,6 +51,13 @@ class ShardTree final : public Shard {
   ShardTree(const Schema& schema, ShardKind kindTag, TreeConfig cfg)
       : schema_(schema), kind_(kindTag), cfg_(cfg) {
     assert(cfg_.fanout >= 4 && cfg_.leafCapacity >= 4);
+    summaries_.resize(schema_.dims());
+    for (unsigned j = 0; j < schema_.dims(); ++j) {
+      const Hierarchy& h = schema_.dim(j);
+      summaries_[j].shift = h.bitsBelow(1);
+      const std::uint64_t values = std::uint64_t{1} << h.bitsAt(1);
+      if (values <= kMaxSummarySlots) summaries_[j].slots.resize(values);
+    }
     root_.store(newNode(/*leaf=*/true), std::memory_order_release);
   }
 
@@ -115,6 +127,7 @@ class ShardTree final : public Shard {
       batchBounds.expand(schema_, items.at(i));
     boundsLock_.lock();
     bounds_.merge(schema_, batchBounds);
+    for (std::size_t i = 0; i < items.size(); ++i) summarize(items.at(i));
     boundsLock_.unlock();
     size_.fetch_add(items.size(), std::memory_order_relaxed);
   }
@@ -122,7 +135,7 @@ class ShardTree final : public Shard {
   Aggregate query(const QueryBox& q) const override {
     const FlatQuery fq(schema_, q);
     Aggregate out;
-    if (fq.empty()) return out;
+    if (fq.empty() || querySummary(fq, out)) return out;
     Node* n = lockRootShared();
     queryTree(n, q, fq, out);  // unlocks every node it visits
     return out;
@@ -173,17 +186,28 @@ class ShardTree final : public Shard {
     const std::size_t perItem = schema_.dims() * sizeof(std::uint32_t) +
                                 sizeof(double) +
                                 (hilbert() ? sizeof(HilbertKey) : 0);
+    std::size_t summarySlots = 0;
+    for (const TopSummary& s : summaries_) summarySlots += s.slots.size();
     return size() * perItem +
-           nodeCount_.load(std::memory_order_relaxed) * sizeof(Node);
+           nodeCount_.load(std::memory_order_relaxed) * sizeof(Node) +
+           summarySlots * sizeof(Aggregate);
   }
 
   /// Structural invariant check for tests: key containment, cached
-  /// aggregate consistency, Hilbert ordering, fill bounds. Not thread-safe.
+  /// aggregate consistency, Hilbert ordering, fill bounds, summary totals.
+  /// Not thread-safe.
   void checkInvariants() const {
     Node* root = root_.load(std::memory_order_acquire);
     Aggregate total;
     checkNode(*root, total, /*isRoot=*/true);
     assert(total.count == size());
+    for (const TopSummary& s : summaries_) {
+      if (s.slots.empty()) continue;
+      Aggregate all;
+      for (const Aggregate& a : s.slots) all.merge(a);
+      assert(all.count == size() && "summary misses or repeats items");
+      (void)all;
+    }
     (void)total;
   }
 
@@ -267,7 +291,17 @@ class ShardTree final : public Shard {
   void updateBounds(PointRef p) {
     boundsLock_.lock();
     bounds_.expand(schema_, p);
+    summarize(p);
     boundsLock_.unlock();
+  }
+
+  /// Add p to its top-level slot in every summarized dimension. Called
+  /// with boundsLock_ held exclusive, after p reached the tree.
+  void summarize(PointRef p) {
+    for (unsigned j = 0; j < summaries_.size(); ++j) {
+      TopSummary& s = summaries_[j];
+      if (!s.slots.empty()) s.slots[p.coords[j] >> s.shift].add(p.measure);
+    }
   }
 
   // ---- insert path -------------------------------------------------------
@@ -314,6 +348,7 @@ class ShardTree final : public Shard {
     }
     boundsLock_.lock();
     bounds_.merge(schema_, batchBounds);
+    for (std::size_t i = 0; i < n; ++i) summarize(items.at(i));
     boundsLock_.unlock();
     size_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -646,6 +681,27 @@ class ShardTree final : public Shard {
 
   // ---- queries -----------------------------------------------------------
 
+  /// Answer a box that constrains exactly one summarized dimension to a
+  /// run of whole top-level values by merging that run's slots; returns
+  /// false, touching nothing, for every other box. The slots are read
+  /// under boundsLock_ shared, so the answer is the slots' state at one
+  /// instant, and every item counted there is already in the tree.
+  bool querySummary(const FlatQuery& fq, Aggregate& out) const {
+    if (fq.constrained() != 1) return false;
+    const TopSummary& s = summaries_[fq.dimAt(0)];
+    if (s.slots.empty()) return false;
+    const std::uint64_t lo = fq.lo(0);
+    const std::uint64_t end = lo + fq.width(0) + 1;  // one past the interval
+    const std::uint64_t below = (std::uint64_t{1} << s.shift) - 1;
+    if ((lo & below) != 0 || (end & below) != 0) return false;
+    boundsLock_.lock_shared();
+    for (std::uint64_t v = lo >> s.shift; v < end >> s.shift; ++v)
+      out.merge(s.slots[v]);
+    boundsLock_.unlock_shared();
+    countSummaryAnswer();
+    return true;
+  }
+
   /// Columnar scan of one leaf (see olap/flat_query.hpp): every
   /// constrained column gets a fused lo/hi interval pass over contiguous
   /// memory into a bit-packed selection, then the survivors' measures are
@@ -781,6 +837,8 @@ class ShardTree final : public Shard {
     size_.store(0, std::memory_order_relaxed);
     boundsLock_.lock();
     bounds_ = MdsKey();
+    for (TopSummary& s : summaries_)
+      std::fill(s.slots.begin(), s.slots.end(), Aggregate{});
     boundsLock_.unlock();
   }
 
@@ -835,8 +893,19 @@ class ShardTree final : public Shard {
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> nodeCount_{0};
 
-  mutable RwSpinLock boundsLock_;
+  /// One dimension's top-level summary: slot v aggregates the items whose
+  /// coordinate lies under top-level value v (coord >> shift == v).
+  struct TopSummary {
+    unsigned shift = 0;
+    std::vector<Aggregate> slots;  // empty: the dimension is not summarized
+  };
+  /// A dimension whose top level has more values than this gets no
+  /// summary; its slices take the walk.
+  static constexpr std::uint64_t kMaxSummarySlots = 256;
+
+  mutable RwSpinLock boundsLock_;  // guards bounds_ and every summary slot
   MdsKey bounds_;
+  std::vector<TopSummary> summaries_;  // one per dimension
 };
 
 template <typename Key>

@@ -7,6 +7,9 @@
 // splits so the cached-aggregate pruning path (containedIn -> merge
 // childAggs, no descent) is exercised, and a concurrent-insert phase runs
 // queries against the explicit-stack traversal while leaves are mutating.
+// Every test also asks single-dimension slices: whole top-level values,
+// which the trees answer from their per-dimension summaries, and unaligned
+// intervals next to them, which must take the walk.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "olap/data_gen.hpp"
 #include "olap/flat_query.hpp"
 #include "olap/mbr.hpp"
@@ -46,6 +50,45 @@ void expectSame(const Aggregate& got, const Aggregate& want,
   }
 }
 
+// A box constraining dimension j alone to [lo, hi], built the way one
+// arrives off the wire: hi may lie past the end of the domain.
+QueryBox rangeBox(const Schema& schema, unsigned j, std::uint64_t lo,
+                  std::uint64_t hi) {
+  const QueryBox all(schema);
+  ByteWriter w;
+  w.varint(schema.dims());
+  for (unsigned k = 0; k < schema.dims(); ++k)
+    (k == j ? HierInterval{lo, hi, 0} : all.dim(k)).serialize(w);
+  const Blob blob = w.take();
+  ByteReader r(blob);
+  return QueryBox::deserialize(r);
+}
+
+// Single-dimension slices around the anchor's top-level value in every
+// dimension: the value itself, a run of up to three values, the run from
+// it to the domain's end (hi past the end, clamped by the shard), and two
+// unaligned intervals that start or end inside a top-level value.
+std::vector<QueryBox> sliceBoxes(const Schema& schema, PointRef anchor) {
+  std::vector<QueryBox> out;
+  for (unsigned j = 0; j < schema.dims(); ++j) {
+    const Hierarchy& h = schema.dim(j);
+    const std::uint64_t span = std::uint64_t{1} << h.bitsBelow(1);
+    const std::uint64_t values = std::uint64_t{1} << h.bitsAt(1);
+    const std::uint64_t v = anchor.coords[j] / span;
+    QueryBox one(schema);
+    one.constrainAncestor(schema, j, anchor.coords[j], 1);
+    out.push_back(one);
+    out.push_back(
+        rangeBox(schema, j, v * span, std::min(v + 3, values) * span - 1));
+    out.push_back(rangeBox(schema, j, v * span, ~std::uint64_t{0}));
+    if (span > 1) {
+      out.push_back(rangeBox(schema, j, v * span + 1, (v + 2) * span - 1));
+      out.push_back(rangeBox(schema, j, v * span, (v + 1) * span));
+    }
+  }
+  return out;
+}
+
 TreeConfig tinyConfig() {
   TreeConfig cfg;
   cfg.fanout = 4;
@@ -73,8 +116,9 @@ TEST(QueryDiff, AllImplementationsAgreeOnRandomBoxes) {
       array.insert(p);
       all.push(p);
     }
-    for (int i = 0; i < 25; ++i) {
-      const QueryBox q = qgen.random(all);
+    std::vector<QueryBox> qs = sliceBoxes(schema, all.at(round * 250));
+    for (int i = 0; i < 25; ++i) qs.push_back(qgen.random(all));
+    for (const QueryBox& q : qs) {
       const Aggregate want = bruteForce(all, q);
       expectSame(hilbert.query(q), want, "hilbert", q.describe(schema));
       expectSame(geometric.query(q), want, "geometric", q.describe(schema));
@@ -101,8 +145,11 @@ TEST(QueryDiff, AgreementSurvivesShardSplit) {
   tree.checkInvariants();
   ASSERT_EQ(tree.size() + right->size(), all.size());
 
-  for (int i = 0; i < 40; ++i) {
-    const QueryBox q = qgen.random(all);
+  std::vector<QueryBox> qs = sliceBoxes(schema, all.at(0));
+  for (const QueryBox& q : sliceBoxes(schema, all.at(all.size() - 1)))
+    qs.push_back(q);
+  for (int i = 0; i < 40; ++i) qs.push_back(qgen.random(all));
+  for (const QueryBox& q : qs) {
     const Aggregate want = bruteForce(all, q);
     Aggregate got = tree.query(q);
     got.merge(right->query(q));
@@ -128,7 +175,7 @@ TEST(QueryDiff, QueriesUnderConcurrentInsertsStayBounded) {
   for (std::size_t i = 0; i < prefix.size(); ++i) all.push(prefix.at(i));
   for (std::size_t i = 0; i < extra.size(); ++i) all.push(extra.at(i));
 
-  std::vector<QueryBox> qs;
+  std::vector<QueryBox> qs = sliceBoxes(schema, extra.at(0));
   for (int i = 0; i < 30; ++i) qs.push_back(qgen.random(all));
 
   std::thread writer([&] {

@@ -85,15 +85,20 @@ TEST(StatsPlane, EveryNodeAnswersWithRequiredMetrics) {
   std::vector<std::string> workers;
   for (unsigned w = 0; w < 3; ++w)
     workers.push_back(workerEndpoint(static_cast<WorkerId>(w)));
+  struct ScanTotals {
+    std::int64_t leaves = 0, items = 0, summaryAnswers = 0;
+  };
   auto scanTotals = [&] {
-    std::int64_t leaves = 0, items = 0;
+    ScanTotals t;
     const auto rs = scrapeStats(cluster.fabric(), workers);
     EXPECT_EQ(rs.size(), workers.size());
     for (const auto& r : rs) {
-      leaves += *r.snapshot.findGauge("worker.scan.leaves");
-      items += *r.snapshot.findGauge("worker.scan.items");
+      t.leaves += *r.snapshot.findGauge("worker.scan.leaves");
+      t.items += *r.snapshot.findGauge("worker.scan.items");
+      t.summaryAnswers +=
+          *r.snapshot.findGauge("worker.scan.summary_answers");
     }
-    return std::pair{leaves, items};
+    return t;
   };
   const auto before = scanTotals();
   DataGenerator gen(schema, 11);  // runWorkload's stream
@@ -106,8 +111,20 @@ TEST(StatsPlane, EveryNodeAnswersWithRequiredMetrics) {
   EXPECT_GE(r.agg.count, 1u);
   EXPECT_LT(r.agg.count, 2'000u);
   const auto after = scanTotals();
-  EXPECT_GT(after.first, before.first) << "worker.scan.leaves did not move";
-  EXPECT_GT(after.second, before.second) << "worker.scan.items did not move";
+  EXPECT_GT(after.leaves, before.leaves) << "worker.scan.leaves did not move";
+  EXPECT_GT(after.items, before.items) << "worker.scan.items did not move";
+
+  // A slice of one dimension at its top level is answered from the shards'
+  // top-level summaries: the summary gauge grows and no item is tested.
+  QueryBox slice(schema);
+  slice.constrainAncestor(schema, 0, first.coords[0], 1);
+  const QueryReply rs = client->query(slice);
+  ASSERT_FALSE(rs.partial);
+  EXPECT_GE(rs.agg.count, 1u);
+  const auto sliced = scanTotals();
+  EXPECT_GT(sliced.summaryAnswers, after.summaryAnswers)
+      << "worker.scan.summary_answers did not move";
+  EXPECT_EQ(sliced.items, after.items) << "a top-level slice tested items";
 }
 
 TEST(StatsPlane, FreshnessLagAndStageHistogramsFill) {

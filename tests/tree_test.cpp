@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -343,6 +345,121 @@ TEST(ShardTree, ThirtyTwoBitHierarchyRoundTrips) {
     }
     EXPECT_GT(shard->query(topLeaf).count, 0u);
   }
+}
+
+// Slices of one dimension at its top level, one box per top-level value.
+std::vector<QueryBox> topLevelSlices(const Schema& schema, unsigned j) {
+  const Hierarchy& h = schema.dim(j);
+  std::vector<QueryBox> out;
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << h.bitsAt(1)); ++v) {
+    QueryBox q(schema);
+    q.constrainAncestor(schema, j, v << h.bitsBelow(1), 1);
+    out.push_back(q);
+  }
+  return out;
+}
+
+/// Queries `q` and checks the answer against the oracle's; returns how
+/// many leaves the query scanned and whether the summaries answered it.
+std::pair<std::uint64_t, bool> sliceAgrees(const Shard& s,
+                                           const Shard& oracle,
+                                           const QueryBox& q,
+                                           const Schema& schema) {
+  const std::uint64_t leaves = s.leavesScanned();
+  const std::uint64_t items = s.itemsTested();
+  const std::uint64_t answers = s.summaryAnswers();
+  const Aggregate got = s.query(q), want = oracle.query(q);
+  const std::string where =
+      std::string(shardKindName(s.kind())) + " " + q.describe(schema);
+  EXPECT_EQ(got.count, want.count) << where;
+  EXPECT_NEAR(got.sum, want.sum, 1e-9 * (1 + std::abs(want.sum))) << where;
+  if (want.count > 0) {
+    EXPECT_EQ(got.min, want.min) << where;
+    EXPECT_EQ(got.max, want.max) << where;
+  }
+  const bool summarized = s.summaryAnswers() != answers;
+  if (summarized) {
+    EXPECT_EQ(s.itemsTested(), items) << where;
+  }
+  return {s.leavesScanned() - leaves, summarized};
+}
+
+TEST(ShardTree, TopLevelSliceScansNoLeaves) {
+  // A box that constrains one dimension to a top-level value is answered
+  // from the shard's per-dimension summaries: no leaf scanned, no item
+  // tested, and the oracle's answer. The summaries are filled through
+  // every upkeep path (bulk load, batch insert, point insert) and rebuilt
+  // by a split, after which each half answers for its own items only.
+  const Schema schema = Schema::tpcds();
+  DataGenerator gen(schema, 2301);
+  const PointSet preload = gen.generate(3000);
+  const PointSet batch = gen.generate(500);
+  const PointSet points = gen.generate(500);
+  for (ShardKind k : kAllTreeKinds) {
+    auto shard = makeShard(k, schema);
+    ArrayShard oracle(schema);
+    for (Shard* s : {shard.get(), static_cast<Shard*>(&oracle)}) {
+      s->bulkLoad(preload);
+      s->bulkInsert(batch);
+      for (std::size_t i = 0; i < points.size(); ++i) s->insert(points.at(i));
+    }
+    checkTreeInvariants(*shard);
+    const Hyperplane h = shard->splitQuery();
+    for (int phase = 0; phase < 2; ++phase) {
+      std::unique_ptr<Shard> right, oracleRight;
+      if (phase == 1) {
+        right = shard->split(h);
+        oracleRight = oracle.split(h);
+        checkTreeInvariants(*shard);
+        checkTreeInvariants(*right);
+        ASSERT_GT(right->size(), 0u);
+        ASSERT_EQ(right->size(), oracleRight->size());
+      }
+      for (unsigned j = 0; j < schema.dims(); ++j) {
+        for (const QueryBox& q : topLevelSlices(schema, j)) {
+          const auto [leaves, summarized] =
+              sliceAgrees(*shard, oracle, q, schema);
+          EXPECT_EQ(leaves, 0u) << shardKindName(k) << q.describe(schema);
+          EXPECT_TRUE(summarized) << shardKindName(k) << q.describe(schema);
+          if (right) {
+            EXPECT_EQ(sliceAgrees(*right, *oracleRight, q, schema),
+                      std::make_pair(std::uint64_t{0}, true))
+                << shardKindName(k) << q.describe(schema);
+          }
+        }
+      }
+    }
+  }
+
+  // A top level wider than 256 values gets no summary: its slices still
+  // answer exactly, through the walk, while the narrow dimension's slices
+  // come from its summary.
+  const Schema wide({Hierarchy("Wide", {{"Hi", 1ull << 16}, {"Lo", 4}}),
+                     Hierarchy("Narrow", {{"A", 16}})});
+  Rng rng(2302);
+  PointSet items(2);
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<std::uint64_t> c{rng.below(64) << 2 | rng.below(4),
+                                       rng.below(16)};
+    items.push({c, static_cast<double>(i % 89)});
+  }
+  auto shard = makeShard(ShardKind::kHilbertPdcMds, wide);
+  ArrayShard oracle(wide);
+  shard->bulkLoad(items);
+  oracle.bulkLoad(items);
+  std::uint64_t walked = 0;
+  for (std::uint64_t v = 0; v < 64; ++v) {
+    QueryBox q(wide);
+    q.constrainAncestor(wide, 0, v << 2, 1);
+    const auto [leaves, summarized] = sliceAgrees(*shard, oracle, q, wide);
+    EXPECT_FALSE(summarized) << q.describe(wide);
+    walked += leaves;
+  }
+  EXPECT_GT(walked, 0u);
+  for (const QueryBox& q : topLevelSlices(wide, 1))
+    EXPECT_EQ(sliceAgrees(*shard, oracle, q, wide),
+              std::make_pair(std::uint64_t{0}, true))
+        << q.describe(wide);
 }
 
 TEST(ShardTree, HeightGrowsLogarithmically) {
