@@ -31,11 +31,13 @@ run_pass asan-ubsan build-asan -DVOLAP_SANITIZE=address,undefined
 
 # Chaos-replication leg: the chain-failover tests (primary kill and tail
 # kill under message loss, lost seeds, the old owner killed mid-handover
-# during a move, and balancing on chained shards) rerun under TSan
+# during a move, and balancing on chained shards) and the cold-recovery
+# tests, which run the same takeover handler, rerun under TSan
 # explicitly. They are in the suite above too; this leg keeps the
 # replication data races loud even if the suite is ever filtered down.
 echo "==== [tsan] chaos-replication ===="
-ctest --test-dir build-tsan --output-on-failure -R 'Failover' -j "$JOBS"
+ctest --test-dir build-tsan --output-on-failure -R 'Failover|Recovery' \
+  -j "$JOBS"
 # Balancing on chained shards, ten times in a row under TSan: an
 # over-count (a split child counted twice, or a batch applied twice after
 # a move) shows up in some runs only.

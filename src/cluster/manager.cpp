@@ -10,6 +10,24 @@
 
 namespace volap {
 
+namespace {
+
+/// Cap on outstanding takeovers (a cold one ships a whole shard; do not
+/// flood the fabric), and on reconfigs dispatched per chain-repair pass.
+constexpr std::size_t kMaxConcurrentRecoveries = 4;
+
+/// The takeover command by which a chain member adopts its own mirror of
+/// `shard` under `epoch` (a promotion; the durable fields stay empty).
+Blob mirrorTakeover(ShardId shard, std::uint64_t epoch) {
+  RecoverShard req;
+  req.shard = shard;
+  req.epoch = epoch;
+  req.fromMirror = true;
+  return req.encode();
+}
+
+}  // namespace
+
 Manager::Manager(Fabric& fabric, const Schema& schema, ManagerConfig cfg,
                  ShardId firstShardId, DurableLog& durable)
     : fabric_(fabric),
@@ -52,7 +70,7 @@ void Manager::serve() {
       for (const auto& [shard, mv] : moves_) fabric_.send(mv.stepTo, mv.step);
       // Recovery outranks balancing and runs even while balancing is
       // paused: a dead worker's shards are unreachable until re-hosted.
-      if (cfg_.recoveryEnabled) superviseRecovery();
+      superviseRecovery();
       if (enabled_.load(std::memory_order_relaxed) &&
           inFlight_.value() <
               static_cast<std::int64_t>(cfg_.maxConcurrentOps)) {
@@ -69,7 +87,6 @@ void Manager::serve() {
     switch (static_cast<Op>(m->type)) {
       case Op::kSplitDone: handleSplitDone(*m); break;
       case Op::kRecoverDone: handleRecoverDone(*m); break;
-      case Op::kReplPromoteAck: handleReplPromoteAck(*m); break;
       case Op::kReplReconfigAck: handleReplReconfigAck(*m); break;
       case Op::kStats: handleStats(*m); break;
       default: break;
@@ -98,30 +115,9 @@ void Manager::sweepLeases() {
     // doing from the (worker-repaired) image. A Done arriving after this
     // misses the lease map and is ignored.
     if (it->second.kind == PendingOp::Kind::kRecover) {
-      // Un-pend the shard: the next supervision tick re-fences (bumping
-      // the epoch again, so a late install from THIS attempt is rejected)
-      // and retries on a fresh target. Keep it an orphan suspect too, in
-      // case its image owner is alive-but-fenced (orphan recoveries are
-      // dispatched as kRecover as well).
-      pendingRecover_.erase(it->second.shard);
-      orphanRetry_.insert(it->second.shard);
-    } else if (it->second.kind == PendingOp::Kind::kPromote) {
-      // The promote never concluded, but casPromotion already pointed the
-      // image at the candidate. Point it back at the dead owner so the
-      // next tick re-fences and retries — cold this time (the CAS cleared
-      // the replicas). A late install from this attempt is fenced by the
-      // re-fence's higher epoch. The owner may only have LOOKED dead (a
-      // heartbeat stall): mark the shard an orphan suspect so the
-      // supervisor re-hosts it even if the owner's beat is fresh again.
-      auto owner = pendingRecover_.find(it->second.shard);
-      if (owner != pendingRecover_.end()) {
-        ShardInfo back;
-        back.id = it->second.shard;
-        back.worker = owner->second;
-        writeShardInfo(back, /*relocate=*/true, /*takeCount=*/false);
-        pendingRecover_.erase(owner);
-      }
-      orphanRetry_.insert(it->second.shard);
+      // The next tick re-fences (bumping the epoch again, so a late
+      // install from THIS attempt is rejected) and retries.
+      takeoverFailed(it->second);
     } else if (it->second.kind == PendingOp::Kind::kReconfig) {
       pendingReconfig_.erase(it->second.shard);
     } else if (it->second.kind == PendingOp::Kind::kMigrate) {
@@ -221,25 +217,27 @@ void Manager::superviseRecovery() {
       stuck.push_back(shard);
   for (ShardId shard : stuck) endMove(shard, /*done=*/false);
 
-  if (!dead.empty() || !pendingRecover_.empty()) {
-    // Live recovery targets, lightest first; recoveries round-robin across
-    // them so one survivor does not absorb a whole dead worker alone.
-    std::vector<WorkerId> targets;
-    for (const auto& [id, s] : workers)
+  // Live takeover targets, lightest first; cold takeovers round-robin
+  // across them so one survivor does not absorb a whole dead worker alone.
+  std::vector<WorkerId> targets;
+  if (!dead.empty() || !pendingRecover_.empty() || !orphanRetry_.empty()) {
+    for (const auto& [id, st] : workers)
       if (dead.count(id) == 0) targets.push_back(id);
-    std::sort(targets.begin(), targets.end(),
-              [&](WorkerId a, WorkerId b) {
-                return workers[a].totalItems < workers[b].totalItems;
-              });
+    std::sort(targets.begin(), targets.end(), [&](WorkerId a, WorkerId b) {
+      return workers[a].totalItems < workers[b].totalItems;
+    });
     if (targets.empty()) return;  // nobody left to host anything
+  }
+  std::size_t rr = 0;
+  const auto nextTarget = [&] { return targets[rr++ % targets.size()]; };
 
-    std::size_t rr = 0;
+  if (!dead.empty() || !pendingRecover_.empty()) {
     std::set<WorkerId> stillOwning;  // dead workers with shards to move
     for (const ShardInfo& s : shards) {
       if (dead.count(s.worker) == 0) continue;
       stillOwning.insert(s.worker);
       if (pendingRecover_.count(s.id) != 0) continue;
-      if (pendingRecover_.size() >= cfg_.maxConcurrentRecoveries) continue;
+      if (pendingRecover_.size() >= kMaxConcurrentRecoveries) continue;
       // A reconfig dispatched to the now-dead owner can never conclude;
       // cancel it so the post-recovery chain rebuild is not parked behind
       // its lease.
@@ -250,11 +248,6 @@ void Manager::superviseRecovery() {
                    ? pendingOps_.erase(it)
                    : std::next(it);
       }
-      // Fence first: after this, the dead owner's appends/checkpoints fail
-      // even if it is secretly alive (a zombie), so the snapshot is final.
-      auto snap = durable_.fence(s.id);
-      if (!snap.has_value()) continue;  // shard never wrote: nothing to move
-
       // Fast path — promotion: a live chain member already mirrors the
       // shard (and, by the tail-gated ack rule, holds every acked insert).
       // Promote the most-caught-up survivor — the EARLIEST in chain order,
@@ -267,25 +260,19 @@ void Manager::superviseRecovery() {
         candidate = rep;
         break;
       }
-      if (candidate != kNoWorker &&
-          promote(s, snap->epoch, candidate,
-                  {PendingOp::Kind::kPromote, nowNanos() + cfg_.opLeaseNanos,
-                   s.id}) != 0) {
-        pendingRecover_[s.id] = s.worker;
-        continue;  // promotion dispatched; cold path not needed
+      if (candidate != kNoWorker) {
+        // Fence first: after this, the dead owner's appends/checkpoints
+        // fail even if it is secretly alive (a zombie).
+        const auto snap = durable_.fence(s.id);
+        if (!snap.has_value()) continue;  // never wrote: nothing to move
+        if (promote(s, snap->epoch, candidate,
+                    {PendingOp::Kind::kRecover,
+                     nowNanos() + cfg_.opLeaseNanos, s.id}) != 0) {
+          pendingRecover_[s.id] = s.worker;
+          continue;  // promotion dispatched; cold path not needed
+        }
       }
-
-      RecoverShard req;
-      req.shard = s.id;
-      req.epoch = snap->epoch;
-      req.checkpoint = std::move(snap->checkpoint);
-      req.wal = std::move(snap->wal);
-      req.applied = std::move(snap->applied);
-      const WorkerId target = targets[rr++ % targets.size()];
-      if (dispatch(target, Op::kRecoverShard, req.encode(),
-                   {PendingOp::Kind::kRecover,
-                    nowNanos() + cfg_.opLeaseNanos, s.id}) != 0)
-        pendingRecover_[s.id] = s.worker;
+      rehostCold(s, nextTarget());
     }
 
     // Retire a dead worker's registration only once the image maps none of
@@ -310,20 +297,13 @@ void Manager::superviseRecovery() {
   // promotion rolls the image back to an owner that already shed the slot.
   // The dead-owner loop above never retries those (the owner looks alive),
   // so the shard would strand — reachable in the image, hosted nowhere.
-  // Any shard flagged as an orphan suspect (reconfig/promote NACK, expired
-  // recovery lease) is re-hosted from the durable store exactly like a
-  // dead-owner recovery; the fence bump makes the replayed copy
-  // authoritative no matter who still thinks they own it, and the target
-  // may well be the image owner itself.
+  // Any shard flagged as an orphan suspect (reconfig NACK, failed or
+  // expired takeover) is re-hosted cold exactly like a dead-owner
+  // recovery; the fence bump makes the replayed copy authoritative no
+  // matter who still thinks they own it, and the target may well be the
+  // image owner itself.
   if (!orphanRetry_.empty()) {
-    std::vector<WorkerId> targets;
-    for (const auto& [id, st] : workers)
-      if (dead.count(id) == 0) targets.push_back(id);
-    std::sort(targets.begin(), targets.end(), [&](WorkerId a, WorkerId b) {
-      return workers[a].totalItems < workers[b].totalItems;
-    });
     std::set<ShardId> inImage;
-    std::size_t rr = 0;
     for (const ShardInfo& s : shards) {
       inImage.insert(s.id);
       if (orphanRetry_.count(s.id) == 0) continue;
@@ -334,26 +314,8 @@ void Manager::superviseRecovery() {
       if (pendingRecover_.count(s.id) != 0 ||
           pendingReconfig_.count(s.id) != 0)
         continue;
-      if (pendingRecover_.size() >= cfg_.maxConcurrentRecoveries) break;
-      if (targets.empty()) break;
-      auto snap = durable_.fence(s.id);
-      if (!snap.has_value()) {
-        orphanRetry_.erase(s.id);  // never wrote: nothing to re-host
-        continue;
-      }
-      RecoverShard req;
-      req.shard = s.id;
-      req.epoch = snap->epoch;
-      req.checkpoint = std::move(snap->checkpoint);
-      req.wal = std::move(snap->wal);
-      req.applied = std::move(snap->applied);
-      const WorkerId target = targets[rr++ % targets.size()];
-      if (dispatch(target, Op::kRecoverShard, req.encode(),
-                   {PendingOp::Kind::kRecover,
-                    nowNanos() + cfg_.opLeaseNanos, s.id}) != 0) {
-        pendingRecover_[s.id] = s.worker;
-        orphanRetry_.erase(s.id);
-      }
+      if (pendingRecover_.size() >= kMaxConcurrentRecoveries) break;
+      if (rehostCold(s, nextTarget())) orphanRetry_.erase(s.id);
     }
     // Suspects no longer in the image (retired by a split merge-back or a
     // concluded relocation) are moot.
@@ -407,16 +369,50 @@ bool Manager::casPromotion(const ShardInfo& s, std::uint64_t epoch,
 std::uint64_t Manager::promote(const ShardInfo& s, std::uint64_t epoch,
                                WorkerId target, PendingOp lease) {
   if (!casPromotion(s, epoch, target)) return 0;
-  const std::uint64_t corr = dispatch(
-      target, Op::kReplPromote, ReplPromote{s.id, epoch}.encode(), lease);
-  if (corr == 0) {
-    // Send failed: roll the image back so later ticks still see the owner.
+  lease.owner = s.worker;
+  lease.fromMirror = true;
+  const std::uint64_t corr = dispatch(target, Op::kRecoverShard,
+                                      mirrorTakeover(s.id, epoch), lease);
+  if (corr == 0) takeoverFailed(lease);  // later ticks still see the owner
+  return corr;
+}
+
+bool Manager::rehostCold(const ShardInfo& s, WorkerId target) {
+  // Fence first: after this, the image owner's appends and checkpoints
+  // fail even if it is secretly alive (a zombie), so the snapshot is final.
+  auto snap = durable_.fence(s.id);
+  if (!snap.has_value()) return true;  // shard never wrote: nothing to move
+  RecoverShard req;
+  req.shard = s.id;
+  req.epoch = snap->epoch;
+  req.checkpoint = std::move(snap->checkpoint);
+  req.wal = std::move(snap->wal);
+  req.applied = std::move(snap->applied);
+  PendingOp lease{PendingOp::Kind::kRecover, nowNanos() + cfg_.opLeaseNanos,
+                  s.id, s.worker};
+  if (dispatch(target, Op::kRecoverShard, req.encode(), lease) == 0)
+    return false;
+  pendingRecover_[s.id] = s.worker;
+  return true;
+}
+
+void Manager::takeoverFailed(const PendingOp& lease) {
+  // casPromotion pointed the image at the candidate; a cold attempt never
+  // wrote it. Point a failed promotion back at the owner so the next tick
+  // re-fences and retries — cold this time (the CAS cleared the replicas).
+  // A late install from this attempt is fenced by the re-fence's higher
+  // epoch.
+  if (lease.fromMirror) {
     ShardInfo back;
-    back.id = s.id;
-    back.worker = s.worker;
+    back.id = lease.shard;
+    back.worker = lease.owner;
     writeShardInfo(back, /*relocate=*/true, /*takeCount=*/false);
   }
-  return corr;
+  // The owner may only have LOOKED dead (a heartbeat stall) and have shed
+  // its fenced slot since: as an orphan suspect the shard is re-hosted
+  // even if the owner's beat is fresh again.
+  pendingRecover_.erase(lease.shard);
+  orphanRetry_.insert(lease.shard);
 }
 
 std::uint64_t Manager::dispatch(WorkerId to, Op op, Blob payload,
@@ -517,7 +513,7 @@ void Manager::repairChains(const std::map<WorkerId, WorkerStats>& workers,
                   nowNanos() + cfg_.opLeaseNanos, s.id}) == 0)
       continue;
     pendingReconfig_[s.id] = chain;
-    if (++dispatched >= cfg_.maxConcurrentRecoveries) break;
+    if (++dispatched >= kMaxConcurrentRecoveries) break;
   }
 }
 
@@ -698,8 +694,8 @@ void Manager::handleMoveAck(ShardId shard, const Message& m) {
   }
   mv.promoting = true;
   mv.stepTo = workerEndpoint(mv.to);
-  mv.step = makeMessage(Op::kReplPromote, corr, managerEndpoint(),
-                        ReplPromote{shard, mv.epoch}.encode());
+  mv.step = makeMessage(Op::kRecoverShard, corr, managerEndpoint(),
+                        mirrorTakeover(shard, mv.epoch));
 }
 
 void Manager::endMove(ShardId shard, bool done) {
@@ -753,74 +749,32 @@ void Manager::handleSplitDone(const Message& m) {
 
 void Manager::handleRecoverDone(const Message& m) {
   auto it = pendingOps_.find(m.corr);
-  if (it == pendingOps_.end() ||
-      it->second.kind != PendingOp::Kind::kRecover)
-    return;  // lease expired, or duplicate/forged Done
-  const ShardId shard = it->second.shard;
-  pendingOps_.erase(it);
-  pendingRecover_.erase(shard);
-  RecoverDone done;
-  try {
-    done = RecoverDone::decode(m.payload);
-  } catch (const DeserializeError&) {
-    return;
-  }
-  // Failure (corrupt durable state, or the target itself got re-fenced):
-  // leave the image alone; the next tick re-fences and retries elsewhere.
-  // Flag the shard as an orphan suspect so a retry happens even when its
-  // image owner is alive (orphan recoveries fail through here too).
-  if (!done.ok || done.info.id != shard) {
-    orphanRetry_.insert(shard);
-    return;
-  }
-  // Publish the new placement — epoch included, so servers reject the dead
-  // owner's late acks — and the restored count. Servers pick the change up
-  // through their /volap/shards watches, exactly like a migration.
-  writeShardInfo(done.info, /*relocate=*/true, /*takeCount=*/true);
-  recoveries_.inc();
-}
-
-void Manager::handleReplPromoteAck(const Message& m) {
-  auto it = pendingOps_.find(m.corr);
-  if (it == pendingOps_.end()) return;  // lease expired, or duplicate ack
-  const ShardId shard = it->second.shard;
-  if (it->second.kind == PendingOp::Kind::kMigrate) {
+  if (it == pendingOps_.end()) return;  // lease expired, or duplicate Done
+  const PendingOp lease = it->second;
+  if (lease.kind == PendingOp::Kind::kMigrate) {
     pendingOps_.erase(it);
-    handleMoveAck(shard, m);
+    handleMoveAck(lease.shard, m);
     return;
   }
-  if (it->second.kind != PendingOp::Kind::kPromote) return;
-  WorkerId deadOwner = kNoWorker;
-  if (auto pr = pendingRecover_.find(shard); pr != pendingRecover_.end())
-    deadOwner = pr->second;
+  if (lease.kind != PendingOp::Kind::kRecover) return;
   pendingOps_.erase(it);
-  pendingRecover_.erase(shard);
   RecoverDone done;
   try {
     done = RecoverDone::decode(m.payload);
   } catch (const DeserializeError&) {
+  }
+  // Failure (no mirror to adopt, corrupt durable state, or the target got
+  // re-fenced): the next tick re-fences and retries elsewhere.
+  if (!done.ok || done.info.id != lease.shard) {
+    takeoverFailed(lease);
     return;
   }
-  if (!done.ok || done.info.id != shard) {
-    // The replica could not claim the shard (stale copy got fenced, or the
-    // CAS raced). casPromotion already pointed the image at the candidate;
-    // point it back at the dead owner so the next tick re-fences and runs
-    // cold recovery — otherwise the shard strands on a live worker that
-    // never hosts it. The owner may have been only SPURIOUSLY dead (and
-    // has shed the fenced slot by now), so also mark the shard an orphan
-    // suspect: the supervisor then re-hosts it even if the owner's
-    // heartbeat is fresh again.
-    if (deadOwner != kNoWorker) {
-      ShardInfo back;
-      back.id = shard;
-      back.worker = deadOwner;
-      writeShardInfo(back, /*relocate=*/true, /*takeCount=*/false);
-    }
-    orphanRetry_.insert(shard);
-    return;
-  }
+  pendingRecover_.erase(lease.shard);
+  // Publish the new placement — epoch included, so servers reject the dead
+  // owner's late acks — and the count. Servers pick the change up through
+  // their /volap/shards watches, exactly like a migration.
   writeShardInfo(done.info, /*relocate=*/true, /*takeCount=*/true);
-  promotions_.inc();
+  if (lease.fromMirror) promotions_.inc();
   recoveries_.inc();
 }
 

@@ -23,10 +23,13 @@
 // the cluster's DurableLog. A worker whose heartbeat stays stale past
 // an extra grace period is declared dead; each shard the image maps to it
 // is fenced in the durable store (epoch bump — the zombie's appends start
-// failing) and its checkpoint + WAL tail shipped to a live worker via
-// kRecoverShard, under the same lease regime. The dead worker's znodes are
-// removed only after every one of its shards has been re-hosted, so a
-// supervisor restart re-derives the remaining work from the image.
+// failing) and handed to a live worker with the one takeover command,
+// kRecoverShard, under the same lease regime: a surviving chain member
+// adopts its mirror (promotion), else the checkpoint + WAL tail is
+// shipped to the lightest live worker (cold recovery). The dead worker's
+// znodes are removed only after every one of its shards has been
+// re-hosted, so a supervisor restart re-derives the remaining work from
+// the image.
 // Recovery runs even while balancing is paused.
 #pragma once
 
@@ -67,15 +70,11 @@ struct ManagerConfig {
   /// a migration target. Workers without a heartbeat znode are assumed
   /// alive (bootstrap races, hand-built test images).
   std::uint64_t aliveTimeoutNanos = 2'500'000'000;
-  /// Crash-recovery supervision (requires a DurableLog). A stale heartbeat
-  /// must persist this long PAST aliveTimeoutNanos before the worker is
-  /// declared dead and its shards re-hosted — transient stalls (GC-like
-  /// pauses, fabric hiccups) should not trigger a fencing storm.
-  bool recoveryEnabled = true;
+  /// Crash-recovery supervision: a stale heartbeat must persist this long
+  /// PAST aliveTimeoutNanos before the worker is declared dead and its
+  /// shards re-hosted — transient stalls (GC-like pauses, fabric hiccups)
+  /// should not trigger a fencing storm.
   std::uint64_t deadGraceNanos = 2'000'000'000;
-  /// Cap on concurrently outstanding kRecoverShard commands (recovery
-  /// payloads are whole shards; do not flood the fabric).
-  unsigned maxConcurrentRecoveries = 4;
   /// Replication factor R: every shard should live on one primary plus
   /// R-1 chain replicas on distinct live workers (src/repl/repl.hpp).
   /// With R = 1 a shard has a chain only while it moves (the two-member
@@ -111,7 +110,7 @@ class Manager {
   /// Shards successfully re-hosted off dead workers.
   std::uint64_t recoveriesDone() const { return recoveries_.value(); }
   /// Dead primaries replaced by promoting a caught-up chain replica in
-  /// place (the fast-failover path; cold kRecoverShard is the fallback).
+  /// place (the fast-failover path; a cold takeover is the fallback).
   std::uint64_t promotionsDone() const { return promotions_.value(); }
   /// Broken chains rebuilt with fresh members (a member died or the
   /// primary tore the chain down after its retransmission budget).
@@ -124,23 +123,17 @@ class Manager {
   ShardId allocShardId() { return nextShardId_.fetch_add(1); }
 
  private:
-  struct ShardView {
-    ShardInfo info;
-  };
-  /// Lease for one outstanding split/migrate/recover command, keyed by its
-  /// corr. `shard` names the shard the command works on, so an expired
-  /// lease can un-pend it.
+  /// Lease for one outstanding command, keyed by its corr. `shard` names
+  /// the shard the command works on, so an expired lease can un-pend it.
+  /// A takeover (kRecover, or a move's last step) also records the image
+  /// owner it moves the shard off and its source, for takeoverFailed.
   struct PendingOp {
-    enum class Kind : std::uint8_t {
-      kSplit,
-      kMigrate,
-      kRecover,
-      kPromote,
-      kReconfig
-    };
+    enum class Kind : std::uint8_t { kSplit, kMigrate, kRecover, kReconfig };
     Kind kind = Kind::kSplit;
     std::uint64_t deadlineNanos = 0;
     ShardId shard = 0;
+    WorkerId owner = kNoWorker;
+    bool fromMirror = false;
   };
   /// One migration in flight: its lease, where it moves the shard, and
   /// the step it waits on (resent every tick until acked).
@@ -160,8 +153,9 @@ class Manager {
   void sweepLeases();
   void superviseRecovery();
   void handleSplitDone(const Message& m);
+  /// The one takeover ack: a kMigrate lease goes to handleMoveAck, a
+  /// kRecover one (either source) concludes here.
   void handleRecoverDone(const Message& m);
-  void handleReplPromoteAck(const Message& m);
   void handleReplReconfigAck(const Message& m);
   /// Rebuild every chain that is short of replicationFactor - 1 healthy
   /// members on distinct trusted workers (runs each supervision tick).
@@ -177,11 +171,19 @@ class Manager {
   bool casPromotion(const ShardInfo& s, std::uint64_t epoch,
                     WorkerId target);
   /// Promotion dispatch, shared by failover and moves: casPromotion, then
-  /// kReplPromote to `target` under `lease`. Returns the command's corr,
-  /// or 0 when the CAS lost or the send failed (the image is then
-  /// pointed back at s.worker).
+  /// a mirror-source kRecoverShard to `target` under `lease`. Returns the
+  /// command's corr, or 0 when the CAS lost or the send failed (then
+  /// takeoverFailed pointed the image back at s.worker).
   std::uint64_t promote(const ShardInfo& s, std::uint64_t epoch,
                         WorkerId target, PendingOp lease);
+  /// Cold takeover: fence `s`, ship its durable state to `target` as a
+  /// kRecoverShard and note it in pendingRecover_. Returns false only when
+  /// the send failed; a shard that never wrote needs nothing and is true.
+  bool rehostCold(const ShardInfo& s, WorkerId target);
+  /// A takeover under `lease` was NACKed, lost or expired: un-pend the
+  /// shard and make it an orphan suspect. After a mirror-source attempt
+  /// the image is pointed back at lease.owner (only casPromotion moved it).
+  void takeoverFailed(const PendingOp& lease);
   /// Send `op` to worker `to` under `lease`; returns its corr, 0 if the
   /// send failed (nothing registered).
   std::uint64_t dispatch(WorkerId to, Op op, Blob payload, PendingOp lease);
@@ -189,8 +191,6 @@ class Manager {
   bool balancing(ShardId shard) const;
   bool readImage(std::map<WorkerId, WorkerStats>& workers,
                  std::vector<ShardInfo>& shards);
-  /// Workers whose heartbeat znode exists but is stale by more than
-  /// aliveTimeout + extraGraceNanos.
   /// Workers whose liveness beat is stale past aliveTimeout + extra grace.
   /// When `haveBeat` is given, it collects every worker that has a beat
   /// znode at all (so callers can spot never-registered workers).
@@ -201,7 +201,7 @@ class Manager {
   /// Move steps 3-4: fence the shard, then tell the owner to shed it.
   void fenceAndRelease(ShardId shard);
   /// Advance a move on its step's ack (a kReplReconfigAck or
-  /// kReplPromoteAck whose lease is a kMigrate).
+  /// kRecoverDone whose lease is a kMigrate).
   void handleMoveAck(ShardId shard, const Message& m);
   /// Register `op` to `to` as the move's pending step and send it.
   bool sendMoveStep(ShardId shard, WorkerId to, Op op, Blob payload);
@@ -232,8 +232,8 @@ class Manager {
   Counter& chainRepairs_;
   std::uint64_t nextCorr_ = 1;
   std::map<std::uint64_t, PendingOp> pendingOps_;  // serve thread only
-  /// Shards with an outstanding kRecoverShard or kReplPromote, mapped to
-  /// the dead worker they are being moved off (serve thread only).
+  /// Shards with an outstanding takeover (kRecoverShard outside a move),
+  /// mapped to the worker they are being moved off (serve thread only).
   std::map<ShardId, WorkerId> pendingRecover_;
   /// Shards with an outstanding kReplReconfig, mapped to the chain it
   /// installs (serve thread only).

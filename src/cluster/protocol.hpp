@@ -35,11 +35,11 @@ enum class Op : std::uint16_t {
   // Manager/bootstrap -> Worker.
   kCreateShard = 0x240,   // shard id + kind
   kSplitShard = 0x241,    // shard id + new shard id
-  kRecoverShard = 0x243,  // fenced durable state to restore (epoch+ckpt+wal)
+  kRecoverShard = 0x243,  // takeover: adopt own mirror, or durable state
   // Worker -> Manager.
   kCreateShardAck = 0x250,
   kSplitDone = 0x251,   // ok + both halves' info
-  kRecoverDone = 0x253, // ok + restored shard's info
+  kRecoverDone = 0x253, // ok + the taken-over shard's info
   // Stats plane (any scraper -> any node; see cluster/stats.hpp).
   kStats = 0x270,       // empty payload; reply-to taken from Message::from
   kStatsReply = 0x271,  // StatsReply: node name + registry snapshot + traces
@@ -50,8 +50,6 @@ enum class Op : std::uint16_t {
   kReplSeedAck = 0x283,     // member -> primary: seed installed
   kReplReconfig = 0x284,    // manager -> owner: adopt (or hand over) chain
   kReplReconfigAck = 0x285, // primary -> manager: RecoverDone
-  kReplPromote = 0x286,     // manager -> replica: become primary at epoch
-  kReplPromoteAck = 0x287,  // replica -> manager: RecoverDone
 };
 
 // ---- small payload helpers -------------------------------------------------
@@ -272,13 +270,18 @@ struct TransferShard {
   }
 };
 
-/// kRecoverShard payload: the fenced durable state of one shard, shipped by
-/// the manager to a surviving worker. `checkpoint` is a TransferShard-format
-/// blob (possibly empty for a shard that never checkpointed); `wal` holds
-/// the records appended after that checkpoint, in apply order.
+/// kRecoverShard payload: the manager hands a fenced shard to a surviving
+/// worker, which holds it under `epoch` from then on (one takeover command
+/// for failover, a move's promotion and cold re-hosting). With `fromMirror`
+/// the worker adopts its own chain mirror of the shard and the durable
+/// fields are empty; otherwise it rebuilds the shard from them:
+/// `checkpoint` is a TransferShard-format blob (empty for a shard that
+/// never checkpointed) and `wal` holds the records appended after it, in
+/// apply order. Either way the answer is a kRecoverDone.
 struct RecoverShard {
   ShardId shard = 0;
   std::uint64_t epoch = 0;  // install under this epoch; zombie is below it
+  bool fromMirror = false;
   Blob checkpoint;
   std::vector<WalRecord> wal;
   /// Dedup identities of requests older checkpoints already folded in
@@ -291,6 +294,7 @@ struct RecoverShard {
     ByteWriter w;
     w.varint(shard);
     w.varint(epoch);
+    w.u8(fromMirror ? 1 : 0);
     w.bytes(checkpoint);
     w.varint(wal.size());
     for (const auto& rec : wal) rec.serialize(w);
@@ -303,6 +307,7 @@ struct RecoverShard {
     RecoverShard m;
     m.shard = r.varint();
     m.epoch = r.varint();
+    m.fromMirror = r.u8() != 0;
     m.checkpoint = r.bytes();
     const auto n = r.varint();
     m.wal.reserve(n);
@@ -319,7 +324,7 @@ struct RecoverShard {
 /// kRecoverDone payload.
 struct RecoverDone {
   bool ok = false;
-  ShardInfo info;  // the restored shard as hosted by the new owner
+  ShardInfo info;  // the shard as hosted by its new owner
 
   Blob encode() const {
     ByteWriter w;

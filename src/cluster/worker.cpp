@@ -35,9 +35,6 @@ void drainInserts(const std::atomic<std::uint32_t>& active) {
   }
 }
 
-/// WAL record for a batch of applied points. The stored ack lets the
-/// recovery target re-seed its replay cache so the sender's retransmissions
-/// are answered, not re-applied.
 /// Append a trace stamp to a worker-side hop list (echoed on the ack).
 void stamp(std::vector<TraceHop>& hops, TraceStage s, std::uint64_t nanos) {
   hops.push_back({static_cast<std::uint16_t>(s), nanos});
@@ -52,6 +49,9 @@ constexpr std::size_t kReplLogCap = 8192;
 /// dropChainLocked's `successors` when every former member is notified.
 const std::vector<WorkerId> kNoSuccessors;
 
+/// WAL record for a batch of applied points. The stored ack lets the
+/// recovery target re-seed its replay cache so the sender's retransmissions
+/// are answered, not re-applied.
 WalRecord makeWalRecord(const Message& m, Op ackOp, const Blob& ackPayload,
                         const PointSet& items) {
   WalRecord rec;
@@ -63,6 +63,22 @@ WalRecord makeWalRecord(const Message& m, Op ackOp, const Blob& ackPayload,
   items.serialize(w);
   rec.items = w.take();
   return rec;
+}
+
+/// A shard rebuilt from a TransferShard checkpoint blob: its tree and its
+/// mapping-table entry M_j.
+struct Restored {
+  std::shared_ptr<Shard> tree;
+  std::vector<std::pair<Hyperplane, ShardId>> splits;
+};
+
+/// Decode a checkpoint blob (a takeover's durable state, or a chain seed).
+/// An empty blob is a shard that never checkpointed: a fresh tree of the
+/// default kind. Throws DeserializeError on a corrupt blob.
+Restored restoreCheckpoint(const Schema& schema, const Blob& blob) {
+  if (blob.empty()) return {makeShard(ShardKind::kHilbertPdcMds, schema), {}};
+  TransferShard ckpt = TransferShard::decode(blob);
+  return {deserializeShard(schema, ckpt.blob), std::move(ckpt.splits)};
 }
 
 }  // namespace
@@ -278,16 +294,14 @@ void Worker::serve() {
       }
       case Op::kReplAppend:
       case Op::kReplSeed:
-      case Op::kReplReconfig:
-      case Op::kReplPromote: {
+      case Op::kReplReconfig: {
         auto msg = std::make_shared<Message>(std::move(*m));
         const Op op = static_cast<Op>(msg->type);
         pool_.submit([this, msg, op] {
           switch (op) {
             case Op::kReplAppend: handleReplAppend(*msg); break;
             case Op::kReplSeed: handleReplSeed(*msg); break;
-            case Op::kReplReconfig: handleReplReconfig(*msg); break;
-            default: handleReplPromote(*msg); break;
+            default: handleReplReconfig(*msg); break;
           }
         });
         break;
@@ -464,7 +478,7 @@ void Worker::handleQuery(const Message& m) {
       auto it = replicaShards_.find(sid);
       if (it != replicaShards_.end() && it->second.shard) {
         // A server addresses a shard to a mirror only between the image
-        // naming this worker owner and its kReplPromote landing. Acks are
+        // naming this worker owner and its takeover landing. Acks are
         // tail-gated and the image lists only seeded members, so the
         // mirror holds every acked insert: answer from it.
         targets.push_back(it->second.shard);
@@ -830,7 +844,7 @@ void Worker::handleSplitShard(const Message& m) {
                                    workerEndpoint(id_), done.encode()));
 }
 
-// ---- crash recovery ---------------------------------------------------------
+// ---- takeover ---------------------------------------------------------------
 
 void Worker::handleRecoverShard(const Message& m) {
   RecoverDone done;
@@ -850,7 +864,7 @@ void Worker::handleRecoverShard(const Message& m) {
     Slot* existing = findSlot(req.shard);
     if (existing != nullptr && existing->shard &&
         existing->epoch >= req.epoch) {
-      // Duplicate recover (our Done was lost): re-report the live slot.
+      // Duplicate takeover (our Done was lost): re-report the live slot.
       done.ok = true;
       done.info = {req.shard, id_,
                    existing->shard->size() +
@@ -860,56 +874,71 @@ void Worker::handleRecoverShard(const Message& m) {
       return;
     }
   }
-  // Rebuild outside the slot lock: checkpoint first, then the WAL tail in
-  // append order (the supervisor fenced the store before snapshotting, so
-  // nothing can have been appended after this state was read).
-  std::shared_ptr<Shard> shard;
-  std::vector<std::pair<Hyperplane, ShardId>> splits;
-  try {
-    if (!req.checkpoint.empty()) {
-      const TransferShard ckpt = TransferShard::decode(req.checkpoint);
-      shard = deserializeShard(schema_, ckpt.blob);
-      splits = ckpt.splits;
-    } else {
-      // The shard existed but never checkpointed: start empty with the
-      // default kind and replay the WAL.
-      shard = makeShard(ShardKind::kHilbertPdcMds, schema_);
+  // Build the tree outside the slot lock, and seed the replay cache with
+  // the logged acks, so a retransmission of an already-applied request is
+  // re-acked under the new epoch instead of applied twice.
+  Restored restored;
+  if (req.fromMirror) {
+    ReplicaShard rs;
+    {
+      std::lock_guard lock(replMu_);
+      auto it = replicaShards_.find(req.shard);
+      if (it == replicaShards_.end() || !it->second.shard) {
+        report();  // ok = false: the supervisor falls back to cold recovery
+        return;
+      }
+      rs = std::move(it->second);
+      replicaShards_.erase(it);
     }
-    for (const auto& rec : req.wal) {
-      ByteReader r(rec.items);
-      PointSet items = PointSet::deserialize(r);
-      shard->bulkLoad(items);
+    // Stashed gaps and relay windows die here: nothing in them was ever
+    // client-acked (the tail never confirmed past rs.lastApplied before the
+    // primary died), so the senders' retransmissions re-apply them against
+    // the new slot — exactly once, via the replay cache.
+    seedReplayCache(req.shard, req.epoch, rs.log);
+    restored = {std::move(rs.shard), std::move(rs.splits)};
+  } else {
+    // Checkpoint first, then the WAL tail in append order (the supervisor
+    // fenced the store before snapshotting, so nothing can have been
+    // appended after this state was read).
+    try {
+      restored = restoreCheckpoint(schema_, req.checkpoint);
+      for (const auto& rec : req.wal) {
+        ByteReader r(rec.items);
+        restored.tree->bulkLoad(PointSet::deserialize(r));
+      }
+    } catch (const DeserializeError&) {
+      report();  // ok = false: corrupt durable state; supervisor gives up
+      return;
     }
-  } catch (const DeserializeError&) {
-    report();  // ok = false: corrupt durable state; supervisor gives up
-    return;
+    // Both the applied index (requests older checkpoints folded away) and
+    // the WAL tail.
+    seedReplayCache(req.shard, req.epoch, req.applied);
+    seedReplayCache(req.shard, req.epoch, req.wal);
   }
-  // Seed the replay cache with the logged acks — both the applied index
-  // (requests older checkpoints folded away) and the WAL tail — so an
-  // originating server retransmitting an already-applied insert gets an
-  // ack instead of a double apply.
-  seedReplayCache(req.shard, req.epoch, req.applied);
-  seedReplayCache(req.shard, req.epoch, req.wal);
   {
     std::lock_guard lock(slotsMu_);
     Slot slot;
-    slot.shard = shard;
-    slot.splits = splits;
+    slot.shard = std::move(restored.tree);
+    slot.splits = std::move(restored.splits);
     slot.epoch = req.epoch;
-    // Fold the replayed WAL into a fresh checkpoint under the new epoch.
+    // The takeover checkpoint claims WAL ownership under the new epoch.
     // Failure means the supervisor re-fenced (it gave up on us and moved
-    // on): report failure so no stale Done wins over the newer recovery.
+    // on): report failure so no stale Done wins over the newer takeover.
     if (!checkpointSlotLocked(req.shard, slot)) {
       fencedOps_.inc();
       report();  // ok = false
       return;
     }
-    done.info = {req.shard, id_, shard->size(), req.epoch,
-                 shard->boundingMds()};
+    done.info = {req.shard, id_, slot.shard->size(), req.epoch,
+                 slot.shard->boundingMds()};
     slots_[req.shard] = std::move(slot);
+    // A mirror of a shard this worker now hosts is stale: no chain feeds
+    // it, and the unfed-mirror sweep spares shards the image says we own.
+    std::lock_guard rlock(replMu_);
+    replicaShards_.erase(req.shard);
   }
   done.ok = true;
-  recovered_.inc();
+  if (!req.fromMirror) recovered_.inc();
   report();
 }
 
@@ -1510,16 +1539,9 @@ void Worker::handleReplSeed(const Message& m) {
     if (slot != nullptr && slot->shard)
       return;  // we host this shard live; refusing to also mirror it
   }
-  std::shared_ptr<Shard> tree;
-  std::vector<std::pair<Hyperplane, ShardId>> splits;
+  Restored restored;
   try {
-    if (!seed.checkpoint.empty()) {
-      const TransferShard ckpt = TransferShard::decode(seed.checkpoint);
-      tree = deserializeShard(schema_, ckpt.blob);
-      splits = ckpt.splits;
-    } else {
-      tree = makeShard(ShardKind::kHilbertPdcMds, schema_);
-    }
+    restored = restoreCheckpoint(schema_, seed.checkpoint);
   } catch (const DeserializeError&) {
     return;  // corrupt seed; the primary's retransmission re-sends it
   }
@@ -1539,11 +1561,11 @@ void Worker::handleReplSeed(const Message& m) {
         return;
       }
       ReplicaShard rs;
-      rs.shard = std::move(tree);
+      rs.shard = std::move(restored.tree);
       rs.chain = seed.chain;
       rs.epoch = seed.epoch;
       rs.lastApplied = seed.startIndex;
-      rs.splits = std::move(splits);
+      rs.splits = std::move(restored.splits);
       for (auto& rec : seg.records) {
         rec.items.clear();  // identity only; the data is in the checkpoint
         rs.log.push_back(std::move(rec));
@@ -1696,71 +1718,6 @@ void Worker::handleReplReconfig(const Message& m) {
     fabric_.send(workerEndpoint(member),
                  makeMessage(Op::kReplSeed, corr, workerEndpoint(id_),
                              seedPayload));
-}
-
-void Worker::handleReplPromote(const Message& m) {
-  RecoverDone done;
-  auto report = [&] {
-    fabric_.send(m.from, makeMessage(Op::kReplPromoteAck, m.corr,
-                                     workerEndpoint(id_), done.encode()));
-  };
-  ReplPromote req;
-  try {
-    req = ReplPromote::decode(m.payload);
-  } catch (const DeserializeError&) {
-    report();  // ok = false
-    return;
-  }
-  {
-    std::lock_guard lock(slotsMu_);
-    Slot* existing = findSlot(req.shard);
-    if (existing != nullptr && existing->shard &&
-        existing->epoch >= req.epoch) {
-      // Duplicate promote (our ack was lost): re-report the live slot.
-      done.ok = true;
-      done.info = {req.shard, id_,
-                   existing->shard->size() +
-                       (existing->queue ? existing->queue->size() : 0),
-                   existing->epoch, existing->shard->boundingMds()};
-      report();
-      return;
-    }
-  }
-  ReplicaShard rs;
-  {
-    std::lock_guard lock(replMu_);
-    auto it = replicaShards_.find(req.shard);
-    if (it == replicaShards_.end() || !it->second.shard) {
-      report();  // ok = false: the supervisor falls back to cold recovery
-      return;
-    }
-    rs = std::move(it->second);
-    replicaShards_.erase(it);
-  }
-  // Stashed gaps and relay windows die here: nothing in them was ever
-  // client-acked (the tail never confirmed past rs.lastApplied before the
-  // primary died), so the senders' retransmissions re-apply them against
-  // the promoted slot — exactly-once via the replay cache seeded below.
-  seedReplayCache(req.shard, req.epoch, rs.log);
-  {
-    std::lock_guard lock(slotsMu_);
-    Slot slot;
-    slot.shard = rs.shard;
-    slot.splits = rs.splits;
-    slot.epoch = req.epoch;
-    // The promotion checkpoint claims WAL ownership under the new epoch.
-    // Failure means the supervisor re-fenced past us: stand down.
-    if (!checkpointSlotLocked(req.shard, slot)) {
-      fencedOps_.inc();
-      report();  // ok = false
-      return;
-    }
-    done.info = {req.shard, id_, rs.shard->size(), req.epoch,
-                 rs.shard->boundingMds()};
-    slots_[req.shard] = std::move(slot);
-  }
-  done.ok = true;
-  report();
 }
 
 // ---- statistics -------------------------------------------------------------

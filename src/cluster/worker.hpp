@@ -106,7 +106,8 @@ class Worker {
   std::uint64_t fencedOps() const { return fencedOps_.value(); }
   /// Slots shed after discovering a newer epoch (fenced out).
   std::uint64_t fencedShards() const { return fencedShards_.value(); }
-  /// Shards restored onto this worker via kRecoverShard.
+  /// Shards rebuilt onto this worker from durable state (cold takeovers;
+  /// a takeover from a chain mirror does not count).
   std::uint64_t shardsRecovered() const { return recovered_.value(); }
   std::uint64_t checkpointsTaken() const { return checkpoints_.value(); }
 
@@ -164,6 +165,9 @@ class Worker {
   void handleBulk(const Message& m);
   void handleCreateShard(const Message& m);
   void handleSplitShard(const Message& m);
+  /// The one takeover command (kRecoverShard): install a fenced shard
+  /// under the new epoch from this worker's chain mirror or from shipped
+  /// durable state, and answer kRecoverDone.
   void handleRecoverShard(const Message& m);
   void pushStats();
 
@@ -183,7 +187,6 @@ class Worker {
   void handleReplSeed(const Message& m);
   void handleReplSeedAck(const Message& m);
   void handleReplReconfig(const Message& m);
-  void handleReplPromote(const Message& m);
   /// Retransmit overdue chain appends and seeds; tear down chains whose
   /// successor exhausted the budget, or a recruit its seed's (the whole
   /// chain goes — a partial one would under-replicate silently). Returns
@@ -264,7 +267,7 @@ class Worker {
   /// retransmission is processed again.
   void abandonRequest(const Message& m);
   /// Seed the replay cache from logged requests of a shard this worker now
-  /// holds under `epoch` (crash recovery, promotion), so
+  /// holds under `epoch` (a takeover), so
   /// a retransmission of an already-applied request is re-acked, never
   /// re-applied. Bulk acks are re-stamped with `epoch`. `Records` is any
   /// container of WalRecord (a WAL vector, a replica's log deque).
@@ -272,8 +275,9 @@ class Worker {
   void seedReplayCache(ShardId shard, std::uint64_t epoch,
                        const Records& recs);
 
-  /// Resolve a shard id to the concrete structures to insert into or query,
-  /// following the mapping table. Caller holds slotsMu_.
+  /// The slot hosted under exactly this shard id, or nullptr. It does not
+  /// follow the mapping table: callers resolve split children themselves.
+  /// Caller holds slotsMu_.
   Slot* findSlot(ShardId id);
 
   static std::string msgKey(const Message& m) {

@@ -34,6 +34,7 @@ class LatencyHistogram {
   }
 
   std::uint64_t count() const { return total_; }
+  std::uint64_t sumNanos() const { return sum_; }
   std::uint64_t minNanos() const { return total_ ? min_ : 0; }
   std::uint64_t maxNanos() const { return max_; }
   double meanNanos() const {
@@ -41,7 +42,8 @@ class LatencyHistogram {
                   : 0.0;
   }
 
-  /// Value at quantile q in [0,1] (bucket upper bound; <=4.5% error).
+  /// Value at quantile q in [0,1]: the upper bound of the bucket holding
+  /// the ceil(q * count)-th sample (<=4.5% error).
   std::uint64_t quantileNanos(double q) const {
     if (total_ == 0) return 0;
     const auto target = static_cast<std::uint64_t>(
@@ -100,6 +102,8 @@ class LatencyHistogram {
   }
 
  private:
+  friend class AtomicHistogram;  // materialize() fills the fields directly
+
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t total_ = 0;
   std::uint64_t sum_ = 0;

@@ -132,60 +132,39 @@ class AtomicHistogram {
     return total_.load(std::memory_order_relaxed);
   }
 
-  /// Drain into a plain LatencyHistogram (non-destructive) for quantile /
-  /// merge machinery shared with the bench harness.
+  /// Copy into a plain LatencyHistogram (non-destructive) for quantile /
+  /// merge machinery shared with the bench harness: bucket counts, sum,
+  /// min and max, in O(buckets). The count is the buckets' total; a racing
+  /// record() may straddle its bucket and the sum, which only perturbs the
+  /// numbers by one sample.
   LatencyHistogram materialize() const {
     LatencyHistogram h;
     for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      const std::uint64_t n = counts_[i].load(std::memory_order_relaxed);
-      if (n == 0) continue;
-      // Re-record at the bucket midpoint: same bucket index, so quantiles
-      // are identical to the ones the live buckets would give.
-      const std::uint64_t mid = (LatencyHistogram::bucketLower(i) +
-                                 LatencyHistogram::bucketUpper(i)) /
-                                2;
-      for (std::uint64_t k = 0; k < n; ++k) h.record(mid);
+      h.counts_[i] = counts_[i].load(std::memory_order_relaxed);
+      h.total_ += h.counts_[i];
     }
+    h.sum_ = sum_.load(std::memory_order_relaxed);
+    h.min_ = min_.load(std::memory_order_relaxed);
+    h.max_ = max_.load(std::memory_order_relaxed);
     return h;
   }
 
+  /// Summary with LatencyHistogram's quantile rule, so it agrees with
+  /// materialize().quantileNanos().
   HistogramStats stats() const {
+    const LatencyHistogram h = materialize();
     HistogramStats s;
-    // Copy buckets once; a racing record() may straddle total_ and its
-    // bucket, which only perturbs the quantile by one sample.
-    std::uint64_t counts[LatencyHistogram::kBuckets];
-    std::uint64_t total = 0;
-    for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      counts[i] = counts_[i].load(std::memory_order_relaxed);
-      total += counts[i];
-    }
-    s.count = total;
-    s.sum = sum_.load(std::memory_order_relaxed);
-    const std::uint64_t mn = min_.load(std::memory_order_relaxed);
-    s.min = total ? mn : 0;
-    s.max = max_.load(std::memory_order_relaxed);
-    s.p50 = quantile(counts, total, 0.50, s.max);
-    s.p95 = quantile(counts, total, 0.95, s.max);
-    s.p99 = quantile(counts, total, 0.99, s.max);
+    s.count = h.count();
+    s.sum = h.sumNanos();
+    s.min = h.minNanos();
+    s.max = h.maxNanos();
+    s.p50 = h.quantileNanos(0.50);
+    s.p95 = h.quantileNanos(0.95);
+    s.p99 = h.quantileNanos(0.99);
     return s;
   }
 
  private:
-  static std::uint64_t quantile(
-      const std::uint64_t (&counts)[LatencyHistogram::kBuckets],
-      std::uint64_t total, double q, std::uint64_t fallback) {
-    if (total == 0) return 0;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5);
-    std::uint64_t seen = 0;
-    for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      seen += counts[i];
-      if (seen >= target && counts[i] > 0)
-        return LatencyHistogram::bucketUpper(i);
-    }
-    return fallback;
-  }
-
   static void relaxedMin(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
     std::uint64_t cur = slot.load(std::memory_order_relaxed);
     while (v < cur &&

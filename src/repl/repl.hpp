@@ -1,4 +1,4 @@
-// Shard replication subsystem: chain-replicated WALs (ops 0x280-0x287 in
+// Shard replication subsystem: chain-replicated WALs (ops 0x280-0x285 in
 // cluster/protocol.hpp). Every replicated shard has a chain of workers —
 // primary first, tail last. The primary forwards each WAL-appended request
 // batch down the chain as a kReplAppend carrying (shard, epoch, log-index,
@@ -14,8 +14,12 @@
 // torn or corrupt seed truncates to the intact prefix instead of poisoning
 // the replica.
 //
+// Promotion has no op of its own: the manager sends a chain member the
+// takeover command, kRecoverShard with `fromMirror` set, and the member
+// installs its mirror as the shard's slot (cluster/protocol.hpp).
+//
 // This header defines the wire payloads and the in-worker chain state;
-// the forwarding/apply/promotion state machines live in cluster/worker.cpp
+// the forwarding/apply/takeover state machines live in cluster/worker.cpp
 // and the placement/promotion supervisor in cluster/manager.cpp.
 #pragma once
 
@@ -192,29 +196,6 @@ struct ReplReconfig {
     const auto n = r.varint();
     m.chain.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) m.chain.push_back(r.u32());
-    return m;
-  }
-};
-
-/// kReplPromote: the manager fenced the dead primary's epoch and elects
-/// this replica the new primary under `epoch`. The replica installs its
-/// live tree as a real slot and answers with RecoverDone (same payload as
-/// cold recovery — the supervisor treats both uniformly).
-struct ReplPromote {
-  ShardId shard = 0;
-  std::uint64_t epoch = 0;
-
-  Blob encode() const {
-    ByteWriter w;
-    w.varint(shard);
-    w.varint(epoch);
-    return w.take();
-  }
-  static ReplPromote decode(const Blob& b) {
-    ByteReader r(b);
-    ReplPromote m;
-    m.shard = r.varint();
-    m.epoch = r.varint();
     return m;
   }
 };

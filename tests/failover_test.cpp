@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/stats.hpp"
+#include "cluster_dump.hpp"
 #include "common/clock.hpp"
 #include "net/fault.hpp"
 #include "olap/data_gen.hpp"
@@ -115,8 +116,10 @@ std::vector<std::unique_ptr<Client>> clientPerServer(VolapCluster& cluster) {
 /// every point also kept in an ArrayShard oracle.
 struct OracleStream {
   OracleStream(VolapCluster& cluster, const Schema& schema,
-               std::uint64_t seed)
-      : schema(schema),
+               std::uint64_t netSeed, std::uint64_t seed)
+      : cluster(cluster),
+        schema(schema),
+        netSeed(netSeed),
         seed(seed),
         clients(clientPerServer(cluster)),
         gen(schema, seed, skewed()),
@@ -175,7 +178,9 @@ struct OracleStream {
           got = c->query(q);
           return !got.partial;
         })) << q.describe(schema);
-        EXPECT_EQ(got.agg.count, want.count) << q.describe(schema);
+        EXPECT_EQ(got.agg.count, want.count)
+            << q.describe(schema) << "\n"
+            << clusterDump(cluster, netSeed, seed);
         EXPECT_NEAR(got.agg.sum, want.sum,
                     1e-6 * (1.0 + std::abs(want.sum)))
             << q.describe(schema);
@@ -183,8 +188,10 @@ struct OracleStream {
     }
   }
 
+  VolapCluster& cluster;
   const Schema& schema;
-  const std::uint64_t seed;
+  const std::uint64_t netSeed;
+  const std::uint64_t seed;  // drives the stream and the band queries
   std::vector<std::unique_ptr<Client>> clients;
   DataGenerator gen;
   ArrayShard oracle;
@@ -255,14 +262,16 @@ TEST(ChainRecruitment, SpreadsReplicasAcrossWorkers) {
 
 TEST(Failover, PrimaryKillUnderMessageLossLosesNoAckedInsert) {
   const Schema schema = Schema::tpcds();
-  VolapCluster cluster(schema, failoverOptions());
+  const ClusterOptions opts = failoverOptions();
+  VolapCluster cluster(schema, opts);
   // Control cluster fed the identical stream, never crashed: the promoted
   // cluster must end up answer-equivalent.
-  VolapCluster control(schema, failoverOptions());
+  VolapCluster control(schema, opts);
   auto client = cluster.makeClient("c0", 0);
   auto ctl = control.makeClient("c0", 0);
-  DataGenerator gen(schema, 1066);
-  DataGenerator ctlGen(schema, 1066);
+  constexpr std::uint64_t kStreamSeed = 1066;
+  DataGenerator gen(schema, kStreamSeed);
+  DataGenerator ctlGen(schema, kStreamSeed);
   const int kN = 1600;
   for (int i = 0; i < kN / 4; ++i) {
     client->insert(gen.next());
@@ -327,12 +336,14 @@ TEST(Failover, PrimaryKillUnderMessageLossLosesNoAckedInsert) {
         const QueryReply r = client->query(QueryBox(schema));
         return !r.partial && r.agg.count == static_cast<std::uint64_t>(kN);
       },
-      10000ms));
+      10000ms))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
   const QueryReply after = client->query(QueryBox(schema));
   const QueryReply want = ctl->query(QueryBox(schema));
   ASSERT_FALSE(after.partial);
   ASSERT_FALSE(want.partial);
-  EXPECT_EQ(after.agg.count, want.agg.count);
+  EXPECT_EQ(after.agg.count, want.agg.count)
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
   EXPECT_NEAR(after.agg.sum, want.agg.sum,
               1e-6 * (1.0 + std::abs(want.agg.sum)));
 }
@@ -343,7 +354,8 @@ TEST(Failover, TailKillRepairsChainWithExactResults) {
   opts.workers = 3;
   VolapCluster cluster(schema, opts);
   auto client = cluster.makeClient("c0", 0);
-  DataGenerator gen(schema, 2077);
+  constexpr std::uint64_t kStreamSeed = 2077;
+  DataGenerator gen(schema, kStreamSeed);
   const int kBefore = 600;
   const int kDuring = 600;
   for (int i = 0; i < kBefore; ++i) client->insert(gen.next());
@@ -419,9 +431,11 @@ TEST(Failover, TailKillRepairsChainWithExactResults) {
         return !r.partial &&
                r.agg.count == static_cast<std::uint64_t>(kBefore + kDuring);
       },
-      10000ms));
+      10000ms))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
   EXPECT_EQ(cluster.totalItems(),
-            static_cast<std::uint64_t>(kBefore + kDuring));
+            static_cast<std::uint64_t>(kBefore + kDuring))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
 }
 
 TEST(Failover, LostSeedsNeverMakeQueriesPartial) {
@@ -501,7 +515,7 @@ TEST(Failover, OwnerKilledMidHandoverLosesNothing) {
   // sanitizer: ~10 s instead of ~3.5 s.
   opts.clientRetry.maxAttempts = 30;
   VolapCluster cluster(schema, opts);
-  OracleStream stream(cluster, schema, kSeed);
+  OracleStream stream(cluster, schema, opts.net.seed, kSeed);
   for (int i = 0; i < 2000; ++i) stream.insert();
   stream.drain();
   ASSERT_TRUE(eventually([&] { return allChained(cluster, 16); }, 10000ms));
@@ -546,7 +560,20 @@ TEST(Failover, OwnerKilledMidHandoverLosesNothing) {
   ASSERT_NE(victim.load(), kNoWorker) << "no move reached its fence";
   stream.drain();
   cluster.fabric().clearFaultRules();
-  EXPECT_EQ(cluster.manager().splitsDone(), 0u);
+  if (cluster.manager().splitsDone() != 0) {
+    // The setup keeps every shard far below maxShardItems, so a split
+    // here is rule 2's fallback: everything on the heaviest worker was too
+    // big to move. Show the loads it saw.
+    std::string loads = "worker loads:";
+    for (std::uint64_t n : cluster.workerLoads())
+      loads += " " + std::to_string(n);
+    loads += "\nshard counts:";
+    for (const ShardInfo& s : imageShards(cluster))
+      loads += " " + std::to_string(s.id) + "@w" + std::to_string(s.worker) +
+               "=" + std::to_string(s.count);
+    ADD_FAILURE() << cluster.manager().splitsDone() << " split(s)\n"
+                  << loads;
+  }
   // The handover never reached its commit point: the dead-owner path
   // promoted a surviving chain member instead.
   EXPECT_EQ(cluster.manager().migrationsDone(), 0u);
@@ -582,7 +609,7 @@ TEST(Failover, BalancingChainedShardsKeepsAnswersExact) {
   opts.manager.enabled = true;
   opts.manager.maxShardItems = 400;
   VolapCluster cluster(schema, opts);
-  OracleStream stream(cluster, schema, kSeed);
+  OracleStream stream(cluster, schema, opts.net.seed, kSeed);
   for (int i = 0; i < 4000; ++i) stream.insert();
   stream.drain();
   const auto settled = [&] { return allChained(cluster, 8); };

@@ -72,10 +72,27 @@ TEST(Metrics, HistogramPercentilesMatchSortedOracle) {
     EXPECT_GE(static_cast<double>(got), exact * 0.90) << "q=" << q;
     EXPECT_LE(static_cast<double>(got), exact * 1.12) << "q=" << q;
   }
-  // materialize() must preserve the bucket contents (same quantiles).
+  // materialize() copies the buckets and the exact sum, min and max, and
+  // both views use one quantile rule.
   const LatencyHistogram plain = h.materialize();
   EXPECT_EQ(plain.count(), s.count);
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : oracle) sum += v;
+  EXPECT_EQ(s.sum, sum);
+  EXPECT_DOUBLE_EQ(plain.meanNanos(), static_cast<double>(sum) /
+                                          static_cast<double>(oracle.size()));
+  EXPECT_EQ(plain.minNanos(), s.min);
+  EXPECT_EQ(plain.maxNanos(), s.max);
   EXPECT_EQ(plain.quantileNanos(0.50), s.p50);
+  EXPECT_EQ(plain.quantileNanos(0.95), s.p95);
+  EXPECT_EQ(plain.quantileNanos(0.99), s.p99);
+
+  // Eleven samples, one per bucket: the 95th percentile is the 11th
+  // sample (ceil(0.95 * 11) = 11), in both views.
+  AtomicHistogram& small = reg.histogram("test.small_ns");
+  for (std::uint64_t v = 1; v <= 11; ++v) small.record(v);
+  EXPECT_EQ(small.stats().p95, 11u);
+  EXPECT_EQ(small.materialize().quantileNanos(0.95), 11u);
 }
 
 TEST(Metrics, SnapshotUnderLoadIsMonotoneAndCatchesUp) {

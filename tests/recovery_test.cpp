@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster_dump.hpp"
 #include "common/clock.hpp"
 #include "net/fault.hpp"
 #include "olap/data_gen.hpp"
@@ -77,14 +78,16 @@ std::vector<ShardId> shardsOf(VolapCluster& cluster, WorkerId worker) {
 
 TEST(Recovery, CrashedWorkerShardsAreRehostedWithNoAckedLoss) {
   const Schema schema = Schema::tpcds();
-  VolapCluster cluster(schema, recoveryOptions());
+  const ClusterOptions opts = recoveryOptions();
+  VolapCluster cluster(schema, opts);
   // Uncrashed control fed the identical stream: the recovered cluster must
   // end up answer-equivalent to a cluster that never crashed.
-  VolapCluster control(schema, recoveryOptions());
+  VolapCluster control(schema, opts);
   auto client = cluster.makeClient("c0", 0);
   auto ctl = control.makeClient("c0", 0);
-  DataGenerator gen(schema, 77);
-  DataGenerator ctlGen(schema, 77);
+  constexpr std::uint64_t kStreamSeed = 77;
+  DataGenerator gen(schema, kStreamSeed);
+  DataGenerator ctlGen(schema, kStreamSeed);
   const int kN = 1200;
   for (int i = 0; i < kN / 2; ++i) {
     client->insert(gen.next());
@@ -142,15 +145,18 @@ TEST(Recovery, CrashedWorkerShardsAreRehostedWithNoAckedLoss) {
         const QueryReply r = client->query(QueryBox(schema));
         return !r.partial && r.agg.count == static_cast<std::uint64_t>(kN);
       },
-      10000ms));
+      10000ms))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
   const QueryReply after = client->query(QueryBox(schema));
   const QueryReply want = ctl->query(QueryBox(schema));
   ASSERT_FALSE(after.partial);
   ASSERT_FALSE(want.partial);
-  EXPECT_EQ(after.agg.count, want.agg.count);
+  EXPECT_EQ(after.agg.count, want.agg.count)
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
   EXPECT_NEAR(after.agg.sum, want.agg.sum,
               1e-6 * (1.0 + std::abs(want.agg.sum)));
-  EXPECT_EQ(cluster.totalItems(), static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(cluster.totalItems(), static_cast<std::uint64_t>(kN))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
 
   // The dead worker's znodes are retired once nothing maps to it.
   KeeperClient zk(cluster.fabric(), "post-observer");
@@ -160,9 +166,11 @@ TEST(Recovery, CrashedWorkerShardsAreRehostedWithNoAckedLoss) {
 
 TEST(Recovery, FencedZombieCannotAckAndLateAcksAreRejected) {
   const Schema schema = Schema::tpcds();
-  VolapCluster cluster(schema, recoveryOptions());
+  const ClusterOptions opts = recoveryOptions();
+  VolapCluster cluster(schema, opts);
   auto client = cluster.makeClient("c0", 0);
-  DataGenerator gen(schema, 91);
+  constexpr std::uint64_t kStreamSeed = 91;
+  DataGenerator gen(schema, kStreamSeed);
   const int kBefore = 400;
   const int kDuring = 400;
   for (int i = 0; i < kBefore; ++i) client->insert(gen.next());
@@ -232,9 +240,11 @@ TEST(Recovery, FencedZombieCannotAckAndLateAcksAreRejected) {
         return !r.partial &&
                r.agg.count == static_cast<std::uint64_t>(kBefore + kDuring);
       },
-      10000ms));
+      10000ms))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
   EXPECT_EQ(cluster.totalItems(),
-            static_cast<std::uint64_t>(kBefore + kDuring));
+            static_cast<std::uint64_t>(kBefore + kDuring))
+      << clusterDump(cluster, opts.net.seed, kStreamSeed);
 }
 
 }  // namespace

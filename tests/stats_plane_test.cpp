@@ -201,7 +201,6 @@ TEST(StatsPlane, ScrapeToleratesDeadNodes) {
   ClusterOptions opts;
   opts.servers = 1;
   opts.workers = 2;
-  opts.manager.recoveryEnabled = false;  // keep the dead worker dead
   VolapCluster cluster(schema, opts);
   runWorkload(cluster, 200, 2);
   cluster.crashWorker(1);

@@ -2,9 +2,10 @@
 // the fabric with raw messages and verify the SIII-E machinery — shard
 // creation, insert/query routing, the split mapping table and the
 // insertion-queue overlay — plus a move run as the manager runs it: a
-// chain handover (reconfig -> seed -> fence -> release -> promote), and
-// the chain mirrors: one answers when asked, and one no chain feeds any
-// more is dropped.
+// chain handover (reconfig -> seed -> fence -> release -> promote), the
+// one takeover command from either source (a chain mirror or shipped
+// durable state), and the chain mirrors: one answers when asked, and one
+// no chain feeds any more is dropped.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -86,6 +87,34 @@ class WorkerTest : public ::testing::Test {
     EXPECT_EQ(done.info.replicas, std::vector<WorkerId>{dst});
   }
 
+  /// Send the takeover command to `dst` and return its kRecoverDone.
+  RecoverDone takeOver(WorkerId dst, const RecoverShard& req) {
+    const Message reply = send(workerEndpoint(dst), Op::kRecoverShard,
+                               req.encode(), nextCorr_++);
+    EXPECT_EQ(reply.type, static_cast<std::uint16_t>(Op::kRecoverDone));
+    return RecoverDone::decode(reply.payload);
+  }
+
+  /// A mirror-source takeover (a promotion) of `shard` under `epoch`.
+  static RecoverShard fromMirror(ShardId shard, std::uint64_t epoch) {
+    RecoverShard req;
+    req.shard = shard;
+    req.epoch = epoch;
+    req.fromMirror = true;
+    return req;
+  }
+
+  /// A durable-source takeover of the shard `snap` is the fence of.
+  static RecoverShard fromDurable(ShardId shard, DurableSnapshot snap) {
+    RecoverShard req;
+    req.shard = shard;
+    req.epoch = snap.epoch;
+    req.checkpoint = std::move(snap.checkpoint);
+    req.wal = std::move(snap.wal);
+    req.applied = std::move(snap.applied);
+    return req;
+  }
+
   /// Steps 3-5: fence, have `src` shed the shard, promote `dst`. Returns
   /// the epoch `dst` now holds the shard under.
   std::uint64_t handOver(ShardId shard, WorkerId src, WorkerId dst) {
@@ -98,12 +127,7 @@ class WorkerTest : public ::testing::Test {
     EXPECT_EQ(released.type,
               static_cast<std::uint16_t>(Op::kReplReconfigAck));
     EXPECT_TRUE(RecoverDone::decode(released.payload).ok);
-    const Message promoted =
-        send(workerEndpoint(dst), Op::kReplPromote,
-             ReplPromote{shard, snap->epoch}.encode(), nextCorr_++);
-    EXPECT_EQ(promoted.type,
-              static_cast<std::uint16_t>(Op::kReplPromoteAck));
-    EXPECT_TRUE(RecoverDone::decode(promoted.payload).ok);
+    EXPECT_TRUE(takeOver(dst, fromMirror(shard, snap->epoch)).ok);
     return snap->epoch;
   }
 
@@ -267,6 +291,79 @@ TEST_F(WorkerTest, MoveHandsShardToSeededReplica) {
   ASSERT_EQ(info.stamps.size(), 1u);
   EXPECT_EQ(info.stamps[0].second, epoch);
   EXPECT_EQ(dst.itemsHeld(), 221u);
+}
+
+TEST_F(WorkerTest, ColdTakeoverDropsTheTargetsMirror) {
+  // Cold recovery picks the lightest live worker, which may be a chain
+  // member whose promotion lost the race: the installed slot replaces its
+  // mirror, which would otherwise be a whole stale copy nothing drops.
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker dst(fabric_, schema_, 1, durable_);
+  createShard(src, 1);
+  insertN(src, 1, 80);
+  chainTo(1, 0, 1);
+  insertN(src, 1, 20);
+  ASSERT_EQ(dst.replicaShardCount(), 1u);
+  auto snap = durable_.fence(1);
+  ASSERT_TRUE(snap.has_value());
+  const RecoverDone done = takeOver(1, fromDurable(1, std::move(*snap)));
+  ASSERT_TRUE(done.ok);
+  EXPECT_EQ(done.info.count, 100u);
+  EXPECT_EQ(queryShards(dst, {1}).agg.count, 100u);
+  EXPECT_EQ(dst.itemsHeld(), 100u);
+  EXPECT_EQ(dst.replicaShardCount(), 0u);
+  EXPECT_EQ(dst.shardsRecovered(), 1u);
+}
+
+TEST_F(WorkerTest, RepeatedTakeoverReReportsAndChangesNothing) {
+  // A lost Done makes the manager resend the same takeover: the worker
+  // re-reports the slot it installed, from either source.
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker mirror(fabric_, schema_, 1, durable_);
+  Worker cold(fabric_, schema_, 2, durable_);
+  createShard(src, 1);
+  createShard(src, 2);
+  insertN(src, 1, 60);
+  insertN(src, 2, 40);
+  chainTo(1, 0, 1);
+
+  const auto snap1 = durable_.fence(1);
+  ASSERT_TRUE(snap1.has_value());
+  const RecoverShard promote = fromMirror(1, snap1->epoch);
+  auto snap2 = durable_.fence(2);
+  ASSERT_TRUE(snap2.has_value());
+  const RecoverShard rehost = fromDurable(2, std::move(*snap2));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const RecoverDone p = takeOver(1, promote);
+    ASSERT_TRUE(p.ok);
+    EXPECT_EQ(p.info.epoch, snap1->epoch);
+    EXPECT_EQ(p.info.count, 60u);
+    const RecoverDone c = takeOver(2, rehost);
+    ASSERT_TRUE(c.ok);
+    EXPECT_EQ(c.info.epoch, rehost.epoch);
+    EXPECT_EQ(c.info.count, 40u);
+    EXPECT_EQ(mirror.itemsHeld(), 60u);
+    EXPECT_EQ(mirror.shardCount(), 1u);
+    EXPECT_EQ(mirror.replicaShardCount(), 0u);
+    EXPECT_EQ(cold.itemsHeld(), 40u);
+    EXPECT_EQ(cold.shardCount(), 1u);
+  }
+  // Only the rebuild from durable state counts as a recovered shard.
+  EXPECT_EQ(mirror.shardsRecovered(), 0u);
+  EXPECT_EQ(cold.shardsRecovered(), 1u);
+}
+
+TEST_F(WorkerTest, MirrorTakeoverWithoutAMirrorFails) {
+  Worker src(fabric_, schema_, 0, durable_);
+  Worker other(fabric_, schema_, 1, durable_);
+  createShard(src, 1);
+  insertN(src, 1, 10);
+  const auto snap = durable_.fence(1);
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_FALSE(takeOver(1, fromMirror(1, snap->epoch)).ok);
+  EXPECT_EQ(other.shardCount(), 0u);
+  EXPECT_EQ(other.itemsHeld(), 0u);
 }
 
 TEST_F(WorkerTest, MirrorAnswersWhenAsked) {
