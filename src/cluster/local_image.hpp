@@ -59,7 +59,6 @@ class LocalImage {
   /// The shard's owner: every query chunk and insert batch for the shard
   /// goes there. Chain replicas are not tracked; they serve failover only.
   WorkerId workerOf(ShardId id) const;
-  void setWorker(ShardId id, WorkerId w) { workers_[id] = w; }
   MdsKey boxOf(ShardId id) const;
   std::uint64_t countOf(ShardId id) const;
   void noteCount(ShardId id, std::uint64_t count);

@@ -736,7 +736,11 @@ void Manager::handleSplitDone(const Message& m) {
     return;  // lease expired, duplicate Done, or mismatched op kind
   pendingOps_.erase(it);
   inFlight_.add(-1);
-  const SplitDone done = SplitDone::decode(m.payload);
+  SplitDone done;  // ok = false unless it decodes
+  try {
+    done = SplitDone::decode(m.payload);
+  } catch (const DeserializeError&) {
+  }
   if (!done.ok) return;
   // Publish the new shard and refresh the old one's stats; servers learn of
   // the new shard through their children watch on /volap/shards.

@@ -45,7 +45,7 @@ enum class Op : std::uint16_t {
   kStatsReply = 0x271,  // StatsReply: node name + registry snapshot + traces
   // Replication plane (see repl/repl.hpp for payloads).
   kReplAppend = 0x280,      // primary/replica -> successor: chained WAL entry
-  kReplAck = 0x281,         // successor -> predecessor: cumulative apply ack
+  kReplAck = 0x281,         // tail -> primary: cumulative apply ack
   kReplSeed = 0x282,        // primary -> new chain member: checkpoint + WAL
   kReplSeedAck = 0x283,     // member -> primary: seed installed
   kReplReconfig = 0x284,    // manager -> owner: adopt (or hand over) chain
@@ -92,16 +92,17 @@ struct WQuery {
   }
 };
 
-/// kWQueryReply payload: partial aggregate plus redirections for shards
-/// that have migrated away since the server's image was refreshed, and a
-/// list of requested shards this worker does not host at all (e.g. it was
-/// fenced out of them) — the server counts those as unreachable for this
-/// query and refreshes its image rather than silently treating them as
-/// empty. A worker answers for every shard it holds, owned or mirrored.
+/// kWQueryReply payload: partial aggregate, the split children reached
+/// through a mapping that this worker does not own (`moved`: the server
+/// locates each in its image), and a list of requested shards this worker
+/// does not host at all (e.g. it was fenced out of them) — the server
+/// counts those as unreachable for this query and refreshes its image
+/// rather than silently treating them as empty. A worker answers for every
+/// shard it holds, owned or mirrored.
 struct WQueryReply {
   Aggregate agg;
   std::uint32_t searchedShards = 0;
-  std::vector<std::pair<ShardId, WorkerId>> moved;
+  std::vector<ShardId> moved;
   std::vector<ShardId> notMine;
 
   Blob encode() const {
@@ -109,10 +110,7 @@ struct WQueryReply {
     agg.serialize(w);
     w.u32(searchedShards);
     w.varint(moved.size());
-    for (const auto& [id, dst] : moved) {
-      w.varint(id);
-      w.u32(dst);
-    }
+    for (auto id : moved) w.varint(id);
     w.varint(notMine.size());
     for (auto id : notMine) w.varint(id);
     return w.take();
@@ -124,11 +122,7 @@ struct WQueryReply {
     m.searchedShards = r.u32();
     const auto n = r.varint();
     m.moved.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const ShardId id = r.varint();
-      const WorkerId dst = r.u32();
-      m.moved.emplace_back(id, dst);
-    }
+    for (std::uint64_t i = 0; i < n; ++i) m.moved.push_back(r.varint());
     const auto nm = r.varint();
     m.notMine.reserve(nm);
     for (std::uint64_t i = 0; i < nm; ++i) m.notMine.push_back(r.varint());

@@ -744,29 +744,25 @@ void Server::handleQuery(const Message& m) {
   }
 }
 
-void Server::chase(const std::shared_ptr<PendingQuery>& q, ShardId id,
-                   WorkerId dest) {
-  // Called with pendingMu_ held.
+void Server::refreshLater(ShardId id) {
+  WatchEvent e{WatchEvent::Kind::kData, shardPath(id)};
+  ByteWriter w;
+  e.serialize(w);
+  fabric_.send(serverEndpoint(id_),
+               makeMessage(static_cast<Op>(KeeperOp::kWatchEvent), 0,
+                           serverEndpoint(id_), w.take()));
+}
+
+void Server::chase(const std::shared_ptr<PendingQuery>& q, ShardId id) {
+  imageLock_.lock_shared();
+  const WorkerId dest = image_.workerOf(id);
+  imageLock_.unlock_shared();
   if (dest == kNoWorker) {
-    imageLock_.lock_shared();
-    dest = image_.workerOf(id);
-    imageLock_.unlock_shared();
-    if (dest == kNoWorker) {
-      // Ask the event loop to refresh this shard from the keeper; this
-      // query proceeds without it (the next one will route correctly).
-      WatchEvent e{WatchEvent::Kind::kData, shardPath(id)};
-      ByteWriter w;
-      e.serialize(w);
-      fabric_.send(serverEndpoint(id_),
-                   makeMessage(static_cast<Op>(KeeperOp::kWatchEvent), 0,
-                               serverEndpoint(id_), w.take()));
-      return;
-    }
-  } else {
-    imageLock_.lock();
-    image_.setWorker(id, dest);
-    rebuildSnapshotLocked();
-    imageLock_.unlock();
+    // The image does not know the child yet: this query answers without
+    // it, flagged partial, and the next one routes correctly.
+    ++q->unreachable;
+    refreshLater(id);
+    return;
   }
   WQuery req;
   req.shards = {id};
@@ -813,23 +809,16 @@ void Server::handleWorkerQueryReply(const Message& m) {
       const WQueryReply reply = WQueryReply::decode(m.payload);
       q->agg.merge(reply.agg);
       q->searched += reply.searchedShards;
-      for (const auto& [id, dest] : reply.moved) {
-        if (q->queried.count(id) != 0) continue;  // already covered
-        q->queried.insert(id);
-        chase(q, id, dest);
+      for (ShardId id : reply.moved) {
+        if (q->queried.insert(id).second) chase(q, id);  // else covered
       }
       for (ShardId id : reply.notMine) {
         // The worker we asked does not host this shard (it was fenced out
         // of it, or our image is stale). Count it unreachable — an honest
-        // partial result — and ask the event loop to re-read the shard's
-        // placement so the NEXT query routes to the real owner.
+        // partial result — and re-read the shard's placement so the NEXT
+        // query routes to the real owner.
         ++q->unreachable;
-        WatchEvent e{WatchEvent::Kind::kData, shardPath(id)};
-        ByteWriter w;
-        e.serialize(w);
-        fabric_.send(serverEndpoint(id_),
-                     makeMessage(static_cast<Op>(KeeperOp::kWatchEvent), 0,
-                                 serverEndpoint(id_), w.take()));
+        refreshLater(id);
       }
     } catch (const DeserializeError&) {
       // Corrupt reply: count the chunk as answered with nothing.

@@ -236,8 +236,13 @@ class Server {
   void refreshShard(ShardId id);
   void refreshShardList();
   void syncPush();
-  void chase(const std::shared_ptr<PendingQuery>& q, ShardId id,
-             WorkerId dest);
+  /// Ask the event loop (it owns zk_) to re-read shard `id` from the
+  /// keeper, so the next query routes to its real owner.
+  void refreshLater(ShardId id);
+  /// Query a split child a worker reported `moved` at the owner in this
+  /// server's image; one the image cannot place counts unreachable.
+  /// Caller holds pendingMu_.
+  void chase(const std::shared_ptr<PendingQuery>& q, ShardId id);
   void finishQuery(PendingQuery& q);
   void finishBulk(PendingBulk& b);
   /// Decode a client payload (a Point, QueryBox or PointSet) with `read`.

@@ -147,8 +147,6 @@ Worker::Worker(Fabric& fabric, const Schema& schema, WorkerId id,
     std::int64_t n = 0;
     for (const auto& [shard, cs] : chains_)
       n += static_cast<std::int64_t>(cs.window.size());
-    for (const auto& [shard, rs] : replicaShards_)
-      n += static_cast<std::int64_t>(rs.out.size());
     return n;
   });
   metrics_.gaugeFn("repl.replica_shards", [this] {
@@ -173,7 +171,9 @@ void Worker::crash() {
   if (thread_.joinable()) thread_.join();
   // Process memory is gone. The DurableLog (the "disk") is all that
   // survives; pool tasks still running hold shared_ptr copies and finish
-  // against orphaned shards, their acks going nowhere a live node listens.
+  // against orphaned shards, and the fabric delivers nothing they send.
+  // (It must not: with the chains cleared below, an insert in flight
+  // would be acked unreplicated, and a promoted mirror would lack it.)
   {
     std::lock_guard lock(slotsMu_);
     slots_.clear();
@@ -472,7 +472,7 @@ void Worker::handleQuery(const Message& m) {
         // A split-right child we do not own (a mirror of it here does not
         // count: its owner answers for it): tell the server to locate it
         // via its image / the keeper.
-        reply.moved.emplace_back(sid, kNoWorker);
+        reply.moved.push_back(sid);
         continue;
       }
       auto it = replicaShards_.find(sid);
@@ -534,7 +534,11 @@ void Worker::handleBulk(const Message& m) {
   if (!beginRequest(m)) return;
   std::vector<TraceHop> hops;
   if (m.traced()) stamp(hops, TraceStage::kWorkerRecv, nowNanos());
-  ShardBatch batch = ShardBatch::decode(m.payload);
+  ShardBatch batch;  // stays empty, with no dimensions, if it does not parse
+  try {
+    batch = ShardBatch::decode(m.payload);
+  } catch (const DeserializeError&) {
+  }
   if (batch.items.dims() != schema_.dims()) {
     abandonRequest(m);
     return;
@@ -721,7 +725,12 @@ void Worker::handleBulk(const Message& m) {
 // ---- control path -----------------------------------------------------------
 
 void Worker::handleCreateShard(const Message& m) {
-  const CreateShard req = CreateShard::decode(m.payload);
+  CreateShard req;
+  try {
+    req = CreateShard::decode(m.payload);
+  } catch (const DeserializeError&) {
+    return;
+  }
   {
     std::lock_guard lock(slotsMu_);
     if (slots_.count(req.shard) == 0) {
@@ -741,7 +750,12 @@ void Worker::handleCreateShard(const Message& m) {
 }
 
 void Worker::handleSplitShard(const Message& m) {
-  const SplitShard req = SplitShard::decode(m.payload);
+  SplitShard req;
+  try {
+    req = SplitShard::decode(m.payload);
+  } catch (const DeserializeError&) {
+    return;
+  }
   auto fail = [&] {
     SplitDone done;
     done.ok = false;
@@ -890,10 +904,10 @@ void Worker::handleRecoverShard(const Message& m) {
       rs = std::move(it->second);
       replicaShards_.erase(it);
     }
-    // Stashed gaps and relay windows die here: nothing in them was ever
-    // client-acked (the tail never confirmed past rs.lastApplied before the
-    // primary died), so the senders' retransmissions re-apply them against
-    // the new slot — exactly once, via the replay cache.
+    // Stashed gaps die here: nothing in them was ever client-acked (the
+    // tail never confirmed past rs.lastApplied before the primary died), so
+    // the senders' retransmissions re-apply them against the new slot —
+    // exactly once, via the replay cache.
     seedReplayCache(req.shard, req.epoch, rs.log);
     restored = {std::move(rs.shard), std::move(rs.splits)};
   } else {
@@ -1074,7 +1088,6 @@ bool Worker::replicateRecord(ShardId shard, std::uint64_t epoch,
     e.payload = SharedBlob(app.encode());
     e.corr = nextCorr_.fetch_add(1);
     e.attempts = 1;
-    e.sendNanos = now;
     e.dueNanos = now + retryDelayNanos(cfg_.transferRetry, 1, replRng_);
     if (ack != nullptr) {
       e.clientAcks.push_back(ack);
@@ -1086,7 +1099,6 @@ bool Worker::replicateRecord(ShardId shard, std::uint64_t epoch,
     if (hops != nullptr && ack != nullptr && ack->traceId != 0) {
       stamp(*hops, TraceStage::kReplForward, now);
       e.traceId = ack->traceId;
-      e.hops = *hops;
       out.traceId = ack->traceId;
       out.hops = *hops;
     }
@@ -1123,12 +1135,13 @@ void Worker::handleReplAppend(const Message& m) {
   }
   const ShardId shardId = app.shard;
   const std::uint64_t arrivedIdx = app.logIndex;
+  // Everything this member sends goes one way: an intermediate forwards to
+  // its successor, the tail acks the primary. The primary counts only its
+  // current tail's acks, so a tail of an older chain acks harmlessly.
   const bool tail = pos + 1 == app.chain.size();
-  struct Send {
-    std::string dest;
-    Message msg;
-  };
-  std::vector<Send> sends;
+  const std::string dest =
+      workerEndpoint(tail ? app.chain[0] : app.chain[pos + 1]);
+  std::vector<Message> sends;
   {
     std::lock_guard lock(replMu_);
     auto it = replicaShards_.find(shardId);
@@ -1141,20 +1154,16 @@ void Worker::handleReplAppend(const Message& m) {
       return;
     }
     if (arrivedIdx <= rs.lastApplied) {
-      // Duplicate (retransmission; our ack or relay was lost). Re-ack
-      // cumulatively — but an intermediate only up to what the tail
-      // confirmed, or the entry would count as chain-durable early.
-      const std::uint64_t ackedThrough =
-          tail ? rs.lastApplied
-               : (rs.out.empty() ? rs.lastApplied
-                                 : rs.out.begin()->first - 1);
-      if (arrivedIdx <= ackedThrough)
-        sends.push_back(
-            {m.from,
-             makeMessage(Op::kReplAck, m.corr, workerEndpoint(id_),
-                         ReplAck{shardId, rs.epoch, ackedThrough}.encode())});
+      // Duplicate: the primary's retransmission of an entry whose tail ack
+      // is overdue. The tail re-acks cumulatively; an intermediate passes
+      // the bytes on unchanged, toward the member that missed them.
+      sends.push_back(
+          tail ? makeMessage(Op::kReplAck, m.corr, workerEndpoint(id_),
+                             ReplAck{shardId, rs.epoch, rs.lastApplied}
+                                 .encode())
+               : makeMessage(Op::kReplAppend, m.corr, workerEndpoint(id_),
+                             m.payload));
     } else {
-      rs.chain = app.chain;  // membership travels with every append
       rs.stash.emplace(arrivedIdx, std::move(app));
       const std::uint64_t now = nowNanos();
       bool advanced = false;
@@ -1188,26 +1197,14 @@ void Worker::handleReplAppend(const Message& m) {
         replLagNs_.record(now >= cur.sendNanos ? now - cur.sendNanos : 0);
         replApplied_.inc();
         if (!tail) {
-          ReplOutEntry e;
-          e.payload = fwdBytes;
-          e.corr = nextCorr_.fetch_add(1);
-          e.attempts = 1;
-          e.sendNanos = cur.sendNanos;
-          e.dueNanos =
-              now + retryDelayNanos(cfg_.transferRetry, 1, replRng_);
-          e.ackTo = m.from;
-          e.ackCorr = m.corr;
-          Message fwd = makeMessage(Op::kReplAppend, e.corr,
+          Message fwd = makeMessage(Op::kReplAppend, m.corr,
                                     workerEndpoint(id_), fwdBytes);
           if (immediate && m.traced()) {
             fwd.traceId = m.traceId;
             fwd.hops = m.hops;
             stamp(fwd.hops, TraceStage::kReplApplied, now);
-            e.traceId = m.traceId;
           }
-          sends.push_back(
-              {workerEndpoint(cur.chain[pos + 1]), std::move(fwd)});
-          rs.out.emplace(idx, std::move(e));
+          sends.push_back(std::move(fwd));
         }
       }
       if (tail && advanced) {
@@ -1219,11 +1216,11 @@ void Worker::handleReplAppend(const Message& m) {
           ackMsg.hops = m.hops;
           stamp(ackMsg.hops, TraceStage::kReplApplied, now);
         }
-        sends.push_back({m.from, std::move(ackMsg)});
+        sends.push_back(std::move(ackMsg));
       }
     }
   }
-  for (auto& s : sends) fabric_.send(s.dest, std::move(s.msg));
+  for (auto& msg : sends) fabric_.send(dest, std::move(msg));
 }
 
 void Worker::handleReplAck(const Message& m) {
@@ -1234,59 +1231,30 @@ void Worker::handleReplAck(const Message& m) {
     return;
   }
   std::vector<std::shared_ptr<DeferredAck>> done;
-  std::string relayTo;
-  Message relay;
   {
     std::lock_guard lock(replMu_);
     auto cit = chains_.find(ack.shard);
-    if (cit != chains_.end() && cit->second.epoch == ack.epoch) {
-      // Primary: the tail confirmed everything at or below logIndex — the
-      // entries are on every chain member, release their client acks.
-      ChainState& cs = cit->second;
-      const std::uint64_t now = nowNanos();
-      for (auto it = cs.window.begin();
-           it != cs.window.end() && it->first <= ack.logIndex;
-           it = cs.window.erase(it)) {
-        ReplOutEntry& e = it->second;
-        for (auto& d : e.clientAcks) {
-          if (m.traced() && e.traceId == m.traceId && e.traceId != 0) {
-            d->hops = m.hops;
-            stamp(d->hops, TraceStage::kReplTailAck, now);
-          }
-          if (d->remaining > 0 && --d->remaining == 0) done.push_back(d);
+    if (cit == chains_.end()) return;
+    ChainState& cs = cit->second;
+    // Only the tail of the chain this primary runs now confirms that an
+    // entry is on every member.
+    if (cs.epoch != ack.epoch || m.from != workerEndpoint(cs.chain.back()))
+      return;
+    const std::uint64_t now = nowNanos();
+    for (auto it = cs.window.begin();
+         it != cs.window.end() && it->first <= ack.logIndex;
+         it = cs.window.erase(it)) {
+      ReplOutEntry& e = it->second;
+      for (auto& d : e.clientAcks) {
+        if (m.traced() && e.traceId == m.traceId && e.traceId != 0) {
+          d->hops = m.hops;
+          stamp(d->hops, TraceStage::kReplTailAck, now);
         }
-      }
-    } else {
-      auto rit = replicaShards_.find(ack.shard);
-      if (rit != replicaShards_.end() && rit->second.epoch == ack.epoch) {
-        // Intermediate: fold the confirmed prefix out of our own window
-        // and relay ONE cumulative ack upstream.
-        ReplicaShard& rs = rit->second;
-        bool any = false;
-        std::string upstream;
-        std::uint64_t upCorr = 0;
-        for (auto it = rs.out.begin();
-             it != rs.out.end() && it->first <= ack.logIndex;
-             it = rs.out.erase(it)) {
-          any = true;
-          upstream = it->second.ackTo;
-          upCorr = it->second.ackCorr;
-        }
-        if (any && !upstream.empty()) {
-          relayTo = upstream;
-          relay = makeMessage(
-              Op::kReplAck, upCorr, workerEndpoint(id_),
-              ReplAck{ack.shard, ack.epoch, ack.logIndex}.encode());
-          if (m.traced()) {
-            relay.traceId = m.traceId;
-            relay.hops = m.hops;
-          }
-        }
+        if (d->remaining > 0 && --d->remaining == 0) done.push_back(d);
       }
     }
   }
   for (auto& d : done) completeDeferred(d);
-  if (!relayTo.empty()) fabric_.send(relayTo, std::move(relay));
 }
 
 std::uint64_t Worker::sweepReplication() {
@@ -1306,8 +1274,7 @@ std::uint64_t Worker::sweepReplication() {
   };
   {
     std::lock_guard lock(replMu_);
-    if (chains_.empty() && replicaShards_.empty() && heldAcks_.empty())
-      return 0;
+    if (chains_.empty() && heldAcks_.empty()) return 0;
     for (auto& [shard, cs] : chains_) {
       if (cs.chain.size() < 2) continue;
       bool exhausted = false;
@@ -1334,42 +1301,6 @@ std::uint64_t Worker::sweepReplication() {
         retriesSent_.inc();
       }
       if (exhausted) toDrop.emplace_back(shard, cs.epoch);
-    }
-    for (auto& [shard, rs] : replicaShards_) {
-      if (rs.out.empty()) continue;
-      std::size_t pos = rs.chain.size();
-      for (std::size_t i = 0; i < rs.chain.size(); ++i)
-        if (rs.chain[i] == id_) {
-          pos = i;
-          break;
-        }
-      const bool haveSucc =
-          pos != rs.chain.size() && pos + 1 < rs.chain.size();
-      for (auto it = rs.out.begin(); it != rs.out.end();) {
-        ReplOutEntry& e = it->second;
-        if (e.dueNanos > now) {
-          fold(e.dueNanos);
-          ++it;
-          continue;
-        }
-        if (!haveSucc || e.attempts >= cfg_.transferRetry.maxAttempts) {
-          // Applied locally, successor unreachable: give up on the relay.
-          // The un-acked client ack lives on the primary, whose own
-          // window exhausts independently.
-          it = rs.out.erase(it);
-          continue;
-        }
-        ++e.attempts;
-        e.dueNanos =
-            now + retryDelayNanos(cfg_.transferRetry, e.attempts, replRng_);
-        fold(e.dueNanos);
-        resend.push_back(
-            {workerEndpoint(rs.chain[pos + 1]),
-             makeMessage(Op::kReplAppend, e.corr, workerEndpoint(id_),
-                         e.payload)});
-        retriesSent_.inc();
-        ++it;
-      }
     }
     for (auto& [corr, ps] : pendingSeeds_) {
       if (ps.dueNanos > now) {
@@ -1562,7 +1493,6 @@ void Worker::handleReplSeed(const Message& m) {
       }
       ReplicaShard rs;
       rs.shard = std::move(restored.tree);
-      rs.chain = seed.chain;
       rs.epoch = seed.epoch;
       rs.lastApplied = seed.startIndex;
       rs.splits = std::move(restored.splits);
@@ -1678,10 +1608,10 @@ void Worker::handleReplReconfig(const Message& m) {
         snap.splits = slot->splits;
         std::vector<WalRecord> tail = durable_.dedupTail(req.shard);
         for (auto& rec : tail) rec.items.clear();
-        seedPayload = SharedBlob(ReplSeed{req.shard, epoch, startIndex,
-                                          req.chain, snap.encode(),
-                                          encodeWalSegment(tail)}
-                                     .encode());
+        seedPayload =
+            SharedBlob(ReplSeed{req.shard, epoch, startIndex, snap.encode(),
+                                encodeWalSegment(tail)}
+                           .encode());
       }
       std::lock_guard rlock(replMu_);
       auto old = chains_.find(req.shard);

@@ -182,24 +182,34 @@ class Worker {
   bool replicateRecord(ShardId shard, std::uint64_t epoch, WalRecord rec,
                        const std::shared_ptr<DeferredAck>& ack,
                        std::vector<TraceHop>* hops);
+  /// Member side: apply in index order, then forward to the successor
+  /// (intermediate) or ack the primary (tail); a duplicate is passed on
+  /// unchanged or re-acked. Members keep no send state.
   void handleReplAppend(const Message& m);
+  /// Primary side: release the window prefix an ack confirms, counting
+  /// only acks from the tail of the chain it runs now.
   void handleReplAck(const Message& m);
   void handleReplSeed(const Message& m);
   void handleReplSeedAck(const Message& m);
   void handleReplReconfig(const Message& m);
-  /// Retransmit overdue chain appends and seeds; tear down chains whose
-  /// successor exhausted the budget, or a recruit its seed's (the whole
-  /// chain goes — a partial one would under-replicate silently). Returns
-  /// the earliest due time (0 if none).
+  /// The primary is each chain's one retransmitter: resend overdue window
+  /// entries to the first successor (members pass duplicates on, so the
+  /// resend reaches whoever missed it) and overdue seeds to their recruit.
+  /// Tear down a chain whose tail ack stays missing for a full budget, or
+  /// whose recruit never confirmed its seed (the whole chain goes — a
+  /// partial one would under-replicate silently). Returns the earliest due
+  /// time (0 if none).
   std::uint64_t sweepReplication();
-  /// Tear down the primary-side chain for `shard`. Caller holds replMu_.
-  /// Former members absent from `*successors` get a drop notice (nullptr:
-  /// nobody is notified). Unfenced: every parked client ack is appended to
-  /// `release` (safe: entries are locally applied and WAL-durable) for
-  /// sending outside the lock through the image gate, and a pending
-  /// manager reconfig is acked with no replicas. Fenced (the durable store
-  /// moved past the chain): parked acks are cancelled, never sent — the
-  /// shard's next owner answers their retransmissions.
+  /// Tear down the primary-side chain for `shard`: its window, pending
+  /// seeds and manager report (members hold no send state to tear down).
+  /// Caller holds replMu_. Former members absent from `*successors` get a
+  /// drop notice (nullptr: nobody is notified). Unfenced: every parked
+  /// client ack is appended to `release` (safe: entries are locally
+  /// applied and WAL-durable) for sending outside the lock through the
+  /// image gate, and a pending manager reconfig is acked with no replicas.
+  /// Fenced (the durable store moved past the chain): parked acks are
+  /// cancelled, never sent — the shard's next owner answers their
+  /// retransmissions.
   void dropChainLocked(ShardId shard,
                        std::vector<std::shared_ptr<DeferredAck>>& release,
                        bool fenced, const std::vector<WorkerId>* successors);
@@ -313,7 +323,7 @@ class Worker {
   };
   std::unordered_map<std::uint64_t, PendingSeed> pendingSeeds_;
   /// Parked ack releases whose image gate has not concluded yet (see
-  /// releaseChainAcks). Swept alongside the retransmit windows.
+  /// releaseChainAcks). Swept alongside the primary's retransmit windows.
   struct HeldRelease {
     ShardId shard = 0;
     std::uint64_t epoch = 0;

@@ -6,6 +6,17 @@
 
 namespace volap {
 
+namespace {
+
+/// True if endpoint `ep` belongs to node `node`: the node's own name or a
+/// name under it ("worker/3" owns "worker/3/zk", not "worker/30").
+bool ofNode(const std::string& ep, const std::string& node) {
+  return ep.rfind(node, 0) == 0 &&
+         (ep.size() == node.size() || ep[node.size()] == '/');
+}
+
+}  // namespace
+
 Fabric::Fabric(FabricOptions opts)
     : opts_(opts),
       rng_(opts.seed),
@@ -58,10 +69,9 @@ void Fabric::crash(const std::string& name) {
   std::vector<std::shared_ptr<Mailbox>> victims;
   {
     std::lock_guard lock(mu_);
-    const std::string prefix = name + "/";
+    crashed_.push_back(name);
     for (auto it = endpoints_.begin(); it != endpoints_.end();) {
-      const std::string& ep = it->first;
-      if (ep == name || ep.rfind(prefix, 0) == 0) {
+      if (ofNode(it->first, name)) {
         victims.push_back(it->second);
         it = endpoints_.erase(it);
       } else {
@@ -117,6 +127,8 @@ bool Fabric::send(const std::string& to, Message m) {
   std::shared_ptr<Mailbox> mb;
   {
     std::lock_guard lock(mu_);
+    for (const std::string& node : crashed_)
+      if (ofNode(m.from, node)) return false;
     auto it = endpoints_.find(to);
     if (it == endpoints_.end()) return false;
     mb = it->second;

@@ -153,12 +153,15 @@ class Fabric {
   /// Hard-crash a node: unbind `name` and every endpoint under `name + "/"`
   /// (e.g. "worker/3" also takes out "worker/3/zk", but never "worker/30").
   /// Mimics a process death as seen from the network — every inbox the node
-  /// owns vanishes at once, mid-conversation.
+  /// owns vanishes at once, mid-conversation. Nothing sent in the node's
+  /// name is delivered from then on: a dead process sends nothing, even
+  /// while threads of its node object are still winding down.
   void crash(const std::string& name);
 
   /// Deliver `m` to endpoint `to`. Returns false if the endpoint does not
-  /// exist or is closed (the distributed-system analogue of ECONNREFUSED);
-  /// messages eaten by the drop model still return true, like UDP.
+  /// exist or is closed (the distributed-system analogue of ECONNREFUSED),
+  /// or if `m.from` belongs to a crashed node; messages eaten by the drop
+  /// model still return true, like UDP.
   bool send(const std::string& to, Message m);
 
   std::uint64_t sentCount() const { return sent_.value(); }
@@ -198,6 +201,7 @@ class Fabric {
   // so concurrent senders do not serialize on mu_ just to roll the RNG.
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Mailbox>> endpoints_;
+  std::vector<std::string> crashed_;  // node names passed to crash()
 
   std::mutex faultMu_;
   Rng rng_;

@@ -2,12 +2,21 @@
 // cluster/protocol.hpp). Every replicated shard has a chain of workers —
 // primary first, tail last. The primary forwards each WAL-appended request
 // batch down the chain as a kReplAppend carrying (shard, epoch, log-index,
-// records); each replica applies to its own live tree and relays; the
-// TAIL's kReplAck walks back up and only then does the primary release the
-// client ack. That ordering is the durability argument: an acked insert is
-// on every chain member, so promotion of ANY surviving member loses
-// nothing acked, and the most-caught-up survivor (the earliest in chain
-// order) has everything any later member acked.
+// records); each member applies to its own live tree in index order and
+// passes the append on; the TAIL acks straight to the primary, and only
+// then does the primary release the client ack. That ordering is the
+// durability argument: an acked insert is on every chain member, so
+// promotion of ANY surviving member loses nothing acked, and the
+// most-caught-up survivor (the earliest in chain order) has everything any
+// later member acked.
+//
+// The primary is the chain's only retransmitter. It keeps one window of
+// un-acked entries and resends an overdue one to its successor; a member
+// that already applied it passes the same bytes on, so the resend reaches
+// the member that missed it. Members keep no window and relay no acks. The
+// primary counts an ack only from the tail of the chain it runs now: a
+// member that takes itself for the tail of an older chain (a late append)
+// cannot release entries the current tail lacks.
 //
 // Seeding a new member ships a checkpoint (TransferShard format) plus the
 // dedup tail framed as a CRC-checked WAL segment (common/wal.hpp), so a
@@ -43,9 +52,10 @@ namespace volap {
 
 /// kReplAppend: one chained WAL entry, forwarded hop by hop. `chain` is the
 /// FULL chain including the primary at [0]; a receiver locates itself in it
-/// to learn its successor (forward) or absence (stale membership — ignore).
-/// `logIndex` numbers entries per (shard, epoch) starting at 1; replicas
-/// apply strictly in index order, stashing gaps.
+/// to learn its successor (forward), that it is the tail (ack chain[0]), or
+/// its absence (stale membership — ignore). `logIndex` numbers entries per
+/// (shard, epoch) starting at 1; replicas apply strictly in index order,
+/// stashing gaps.
 struct ReplAppend {
   ShardId shard = 0;
   std::uint64_t epoch = 0;
@@ -84,9 +94,9 @@ struct ReplAppend {
   }
 };
 
-/// kReplAck: cumulative — acking `logIndex` acks every entry at or below
-/// it. Message::corr echoes the corr of the append being answered so the
-/// sender can match its retransmit window entry.
+/// kReplAck: the tail's cumulative ack to the primary — acking `logIndex`
+/// acks every entry at or below it. Message::corr echoes the corr of the
+/// append being answered; the primary matches window entries by index.
 struct ReplAck {
   ShardId shard = 0;
   std::uint64_t epoch = 0;
@@ -120,7 +130,6 @@ struct ReplSeed {
   ShardId shard = 0;
   std::uint64_t epoch = 0;
   std::uint64_t startIndex = 0;  // member is caught up through this index
-  std::vector<WorkerId> chain;
   Blob checkpoint;
   Blob segment;
 
@@ -129,8 +138,6 @@ struct ReplSeed {
     w.varint(shard);
     w.varint(epoch);
     w.varint(startIndex);
-    w.varint(chain.size());
-    for (auto m : chain) w.u32(m);
     w.bytes(checkpoint);
     w.bytes(segment);
     return w.take();
@@ -141,9 +148,6 @@ struct ReplSeed {
     m.shard = r.varint();
     m.epoch = r.varint();
     m.startIndex = r.varint();
-    const auto nc = r.varint();
-    m.chain.reserve(nc);
-    for (std::uint64_t i = 0; i < nc; ++i) m.chain.push_back(r.u32());
     m.checkpoint = r.bytes();
     m.segment = r.bytes();
     return m;
@@ -215,24 +219,18 @@ struct DeferredAck {
   unsigned remaining = 0;
 };
 
-/// One un-acked entry in a sender's retransmit window. The encoded payload
-/// is kept verbatim so a retransmission is byte-identical (replicas dedup
-/// by logIndex, not corr).
+/// One un-acked entry in the primary's retransmit window. The encoded
+/// payload is kept verbatim so a retransmission is byte-identical (members
+/// dedup by logIndex, not corr, and pass a duplicate on unchanged).
 struct ReplOutEntry {
   SharedBlob payload;   // encoded ReplAppend
   std::uint64_t corr = 0;
   unsigned attempts = 0;
   std::uint64_t dueNanos = 0;
-  std::uint64_t sendNanos = 0;
-  // Primary only: the client acks this entry releases when the tail
-  // confirms it.
+  // The client acks this entry releases when the tail confirms it.
   std::vector<std::shared_ptr<DeferredAck>> clientAcks;
-  // Intermediate replica only: where to relay the tail's ack upstream.
-  std::string ackTo;
-  std::uint64_t ackCorr = 0;
   // Trace plumbing: set on the first send only.
   std::uint64_t traceId = 0;
-  std::vector<TraceHop> hops;
 };
 
 /// Primary-side chain state for one hosted shard.
@@ -252,13 +250,12 @@ struct ChainState {
 /// Replica-side state for one shard this worker mirrors but does not own.
 /// `log` keeps the dedup identities (items cleared) of applied records so
 /// promotion can seed the replay cache exactly like cold recovery does.
+/// There is no send state: a member forwards or acks as it applies.
 struct ReplicaShard {
   std::shared_ptr<Shard> shard;
-  std::vector<WorkerId> chain;
   std::uint64_t epoch = 0;
   std::uint64_t lastApplied = 0;  // highest contiguously applied logIndex
   std::map<std::uint64_t, ReplAppend> stash;  // out-of-order arrivals
-  std::map<std::uint64_t, ReplOutEntry> out;  // window toward successor
   std::deque<WalRecord> log;  // dedup identities, capped
   std::vector<std::pair<Hyperplane, ShardId>> splits;
 };

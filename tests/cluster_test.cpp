@@ -462,5 +462,53 @@ TEST(Cluster, ManagerLeaseExpiryIgnoresLateAndDuplicateDones) {
   manager.stop();
 }
 
+TEST(Cluster, ChasedChildTheImageCannotPlaceMakesTheAnswerPartial) {
+  // A standalone server whose image holds one shard, owned by a fake
+  // worker. The worker reports a split child the image does not know; the
+  // server cannot ask anyone for it, so the answer must say it is partial.
+  const Schema schema = Schema::tpcds();
+  Fabric fabric;
+  KeeperServer keeper(fabric);
+  KeeperClient zk(fabric, "setup");
+  zk.create("/volap", {});
+  zk.create(shardsPath(), {});
+  zk.create(serversPath(), {});
+  DataGenerator gen(schema, 3);
+  ShardInfo info;
+  info.id = 7;
+  info.worker = 5;
+  info.count = 1;
+  info.box = MdsKey::forPoint(schema, gen.next());
+  ByteWriter w;
+  info.serialize(w);
+  zk.create(shardPath(7), w.take());
+  auto fakeWorker = fabric.bind(workerEndpoint(5));
+  auto client = fabric.bind("client/chase");
+  Server server(fabric, schema, 0);
+
+  ByteWriter box;
+  QueryBox(schema).serialize(box);
+  fabric.send(serverEndpoint(0),
+              makeMessage(Op::kQuery, 1, "client/chase", box.take()));
+  const auto chunk = fakeWorker->recvFor(5000ms);
+  ASSERT_TRUE(chunk.has_value());
+  ASSERT_EQ(chunk->type, static_cast<std::uint16_t>(Op::kWQuery));
+  WQueryReply part;
+  part.agg.add(1.0);
+  part.searchedShards = 1;
+  part.moved = {99};  // a child no image entry names
+  fabric.send(serverEndpoint(0), makeMessage(Op::kWQueryReply, chunk->corr,
+                                             workerEndpoint(5),
+                                             part.encode()));
+  const auto reply = client->recvFor(5000ms);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, static_cast<std::uint16_t>(Op::kQueryReply));
+  const QueryReply r = QueryReply::decode(reply->payload);
+  EXPECT_EQ(r.agg.count, 1u);
+  EXPECT_TRUE(r.partial);
+  EXPECT_EQ(r.unreachableShards, 1u);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace volap

@@ -1,5 +1,5 @@
 // Tests for the message fabric (ZeroMQ substitute) and the coordination
-// service (Zookeeper substitute): delivery, latency, drops, znode
+// service (Zookeeper substitute): delivery, latency, drops, crashes, znode
 // semantics, CAS versioning, sequential nodes, and one-shot watches.
 #include <gtest/gtest.h>
 
@@ -46,6 +46,24 @@ TEST(Fabric, UnbindClosesMailbox) {
   f.unbind("a");
   EXPECT_FALSE(f.send("a", msg(1, "x")));
   EXPECT_FALSE(a->recv().has_value());
+}
+
+TEST(Fabric, CrashedNodeSendsNothing) {
+  // A crashed node's threads may still be winding down; nothing they send
+  // may reach a live node.
+  Fabric f;
+  auto observer = f.bind("observer");
+  f.bind("worker/3");
+  f.bind("worker/3/zk");
+  f.bind("worker/30");
+  f.crash("worker/3");
+  EXPECT_FALSE(f.send("observer", msg(1, "worker/3")));
+  EXPECT_FALSE(f.send("observer", msg(2, "worker/3/zk")));
+  EXPECT_TRUE(f.send("observer", msg(3, "worker/30")));
+  const auto m = observer->recvFor(100ms);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->type, 3);
+  EXPECT_FALSE(observer->recvFor(50ms).has_value());
 }
 
 TEST(Fabric, BindIsIdempotent) {

@@ -4,8 +4,10 @@
 // insertion-queue overlay — plus a move run as the manager runs it: a
 // chain handover (reconfig -> seed -> fence -> release -> promote), the
 // one takeover command from either source (a chain mirror or shipped
-// durable state), and the chain mirrors: one answers when asked, and one
-// no chain feeds any more is dropped.
+// durable state), the chain mirrors (one answers when asked, and one no
+// chain feeds any more is dropped), the chain's acks and retransmissions
+// (only the current tail's ack releases a client ack; the primary is the
+// one retransmitter), and truncated payloads.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -75,16 +77,22 @@ class WorkerTest : public ::testing::Test {
     return corr;
   }
 
-  /// Steps 1-2 of a move: append `dst` to the chain of `shard` at `src`.
-  /// The ack waits until `dst` installed its seed, so it names `dst`.
-  void chainTo(ShardId shard, WorkerId src, WorkerId dst) {
+  /// Have `chain[0]` run `chain` for `shard`. The ack waits until every
+  /// member installed its seed, so it names them all.
+  void runChain(ShardId shard, const std::vector<WorkerId>& chain) {
     const Message ack =
-        send(workerEndpoint(src), Op::kReplReconfig,
-             ReplReconfig{shard, {src, dst}}.encode(), nextCorr_++);
+        send(workerEndpoint(chain[0]), Op::kReplReconfig,
+             ReplReconfig{shard, chain}.encode(), nextCorr_++);
     ASSERT_EQ(ack.type, static_cast<std::uint16_t>(Op::kReplReconfigAck));
     const RecoverDone done = RecoverDone::decode(ack.payload);
     ASSERT_TRUE(done.ok);
-    EXPECT_EQ(done.info.replicas, std::vector<WorkerId>{dst});
+    EXPECT_EQ(done.info.replicas,
+              std::vector<WorkerId>(chain.begin() + 1, chain.end()));
+  }
+
+  /// Steps 1-2 of a move: append `dst` to the chain of `shard` at `src`.
+  void chainTo(ShardId shard, WorkerId src, WorkerId dst) {
+    runChain(shard, {src, dst});
   }
 
   /// Send the takeover command to `dst` and return its kRecoverDone.
@@ -426,12 +434,10 @@ TEST_F(WorkerTest, MigratedSplitShardKeepsMappingAtDestination) {
   chainTo(1, 0, 1);
   handOver(1, 0, 1);
   // Destination serves id 1 and reports the mapping's right child as
-  // unlocatable-by-me (kNoWorker) so the caller resolves it via the image.
+  // moved, so the caller locates it via its image.
   const WQueryReply r = queryShards(dst, {1});
   EXPECT_EQ(r.agg.count, sd.left.count);
-  ASSERT_EQ(r.moved.size(), 1u);
-  EXPECT_EQ(r.moved[0].first, 2u);
-  EXPECT_EQ(r.moved[0].second, kNoWorker);
+  EXPECT_EQ(r.moved, std::vector<ShardId>{2});
   // The right half still lives on the source.
   EXPECT_EQ(queryShards(src, {2}).agg.count, sd.right.count);
 }
@@ -490,6 +496,100 @@ TEST_F(WorkerTest, BulkLoadSplitsAcrossMapping) {
   ByteReader r(ack.payload);
   EXPECT_EQ(r.varint(), 100u);
   EXPECT_EQ(queryShards(w, {1}).agg.count, 300u);
+}
+
+TEST_F(WorkerTest, TruncatedPayloadsAreDroppedAndTheWorkerKeepsServing) {
+  Worker w(fabric_, schema_, 0, durable_);
+  const auto cut = [](Blob b) {
+    b.resize(b.size() / 2);
+    return b;
+  };
+  ShardBatch batch;
+  batch.shard = 1;
+  batch.items = gen_.generate(4);
+  sendNoReply(workerEndpoint(0), Op::kWBulk, cut(batch.encode()), 1);
+  sendNoReply(workerEndpoint(0), Op::kCreateShard,
+              cut(CreateShard{1, ShardKind::kHilbertPdcMds}.encode()), 2);
+  sendNoReply(workerEndpoint(0), Op::kSplitShard,
+              cut(SplitShard{1, 2}.encode()), 3);
+  EXPECT_FALSE(me_->recvFor(300ms).has_value());
+  createShard(w, 1);
+  insertN(w, 1, 5);
+  EXPECT_EQ(queryShards(w, {1}).agg.count, 5u);
+}
+
+TEST_F(WorkerTest, OnlyTheTailsAckReleasesAClientAck) {
+  // Chain [P, T, X]: T was the tail of the shard's earlier chain [P, T].
+  // A late append of that chain makes T take itself for the tail; its ack
+  // must not release an entry that the current tail X has not confirmed.
+  Worker p(fabric_, schema_, 0, durable_);
+  Worker t(fabric_, schema_, 1, durable_);
+  auto x = fabric_.bind(workerEndpoint(2));  // a fake tail
+  createShard(p, 1);
+  insertN(p, 1, 10);
+  sendNoReply(workerEndpoint(0), Op::kReplReconfig,
+              ReplReconfig{1, {0, 1, 2}}.encode(), nextCorr_++);
+  auto seed = x->recvFor(5000ms);
+  ASSERT_TRUE(seed.has_value());
+  ASSERT_EQ(seed->type, static_cast<std::uint16_t>(Op::kReplSeed));
+  const ReplSeed seeded = ReplSeed::decode(seed->payload);
+  fabric_.send(workerEndpoint(0),
+               makeMessage(Op::kReplSeedAck, seed->corr, workerEndpoint(2),
+                           ReplSeedAck{1, seeded.startIndex}.encode()));
+  const auto reconfigured = me_->recvFor(5000ms);
+  ASSERT_TRUE(reconfigured.has_value());
+  ASSERT_EQ(reconfigured->type,
+            static_cast<std::uint16_t>(Op::kReplReconfigAck));
+
+  sendNoReply(workerEndpoint(0), Op::kWBulk, oneItem(1).encode(),
+              nextCorr_++);
+  auto fwd = x->recvFor(5000ms);
+  ASSERT_TRUE(fwd.has_value());
+  ASSERT_EQ(fwd->type, static_cast<std::uint16_t>(Op::kReplAppend));
+  const ReplAppend app = ReplAppend::decode(fwd->payload);
+  EXPECT_EQ(app.chain, (std::vector<WorkerId>{0, 1, 2}));
+
+  ReplAppend late = app;
+  late.chain = {0, 1};
+  fabric_.send(workerEndpoint(1),
+               makeMessage(Op::kReplAppend, fwd->corr, workerEndpoint(0),
+                           late.encode()));
+  EXPECT_FALSE(me_->recvFor(300ms).has_value())
+      << "a client ack was released before the tail confirmed";
+
+  fabric_.send(workerEndpoint(0),
+               makeMessage(Op::kReplAck, fwd->corr, workerEndpoint(2),
+                           ReplAck{1, app.epoch, app.logIndex}.encode()));
+  const auto ack = me_->recvFor(5000ms);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, static_cast<std::uint16_t>(Op::kWBulkAck));
+}
+
+TEST_F(WorkerTest, PrimaryRetransmissionReachesTheTailPastALostHop) {
+  // Members keep no window: when T -> X loses an append, the primary's
+  // resend to T is passed on to X, and X's ack releases the client ack.
+  Worker p(fabric_, schema_, 0, durable_);
+  Worker t(fabric_, schema_, 1, durable_);
+  Worker x(fabric_, schema_, 2, durable_);
+  createShard(p, 1);
+  insertN(p, 1, 10);
+  runChain(1, {0, 1, 2});
+
+  fabric_.addFaultRule({workerEndpoint(1), workerEndpoint(2), 1.0});
+  sendNoReply(workerEndpoint(0), Op::kWBulk, oneItem(1).encode(),
+              nextCorr_++);
+  // Keep the hop cut until the primary has resent at least once.
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  while (p.retriesSent() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(10ms);
+  ASSERT_GT(p.retriesSent(), 0u);
+  EXPECT_FALSE(me_->recvFor(50ms).has_value());
+  fabric_.clearFaultRules();
+  const auto ack = me_->recvFor(5000ms);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, static_cast<std::uint16_t>(Op::kWBulkAck));
+  EXPECT_EQ(t.retriesSent(), 0u);
+  EXPECT_EQ(queryShards(x, {1}).agg.count, 11u);
 }
 
 TEST_F(WorkerTest, StatsReachKeeper) {
